@@ -14,10 +14,10 @@ import json
 import math
 import os
 import random
-import statistics
+import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,11 +42,15 @@ from .reformulate import (
     span_mask,
 )
 from .schedule import MASK_PRESETS, SchedulePolicy, mask_preset, mix, policy_at, policy_from_dict, policy_to_dict
-from .textseg import Segmenter, count_units, segment, take_prefix
+from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_prefix
 
 REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_PRESETS)
 
 _SPLITS = ("train", "valid", "test")
+_SHARD_NAME = re.compile(r"(train|valid|test)-[0-9]{5,}\.jsonl")
+
+# Field annotations (strings under postponed evaluation) that from_dict casts.
+_SCALAR_CASTS = {"int": int, "float": float}
 
 
 @dataclass(frozen=True)
@@ -120,77 +124,42 @@ class BuildConfig:
         return mix(1.0, T)
 
     def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         schedule = self.effective_schedule()
-        return {
-            "task": self.task,
-            "reform": self.reform,
-            "n_train": self.n_train,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "schedule": None if schedule is None else policy_to_dict(schedule),
-            "n_valid": self.n_valid,
-            "n_test": self.n_test,
-            "max_len": self.max_len,
-            "shard_size": self.shard_size,
-            "pivot": self.pivot,
-            "fmt": {
-                "delimiter": self.fmt.delimiter,
-                "target_lang_tag_template": self.fmt.target_lang_tag_template,
-            },
-            "seg": {"kind": self.seg.kind, "counts_path": self.seg.counts_path},
-            "split_fracs": list(self.split_fracs),
-            "front_share": self.front_share,
-            "mean_span": self.mean_span,
-        }
+        out["schedule"] = None if schedule is None else policy_to_dict(schedule)
+        out["fmt"] = asdict(self.fmt)
+        out["seg"] = asdict(self.seg)
+        out["split_fracs"] = list(self.split_fracs)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "BuildConfig":
-        known = {
-            "task", "reform", "n_train", "batch_size", "seed", "schedule",
-            "n_valid", "n_test", "max_len", "shard_size", "pivot", "fmt",
-            "seg", "split_fracs", "front_share", "mean_span",
-        }
-        unknown = set(data) - known
+        """Inverse of ``to_dict``; absent or null keys take the field default."""
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("task", "reform", "n_train", "batch_size"):
-            if key not in data:
-                raise ValidationError(f"config missing required key: {key}")
-        kwargs: dict = {
-            "task": data["task"],
-            "reform": data["reform"],
-            "n_train": int(data["n_train"]),
-            "batch_size": int(data["batch_size"]),
-            "seed": int(data.get("seed", 0)),
-            "n_valid": int(data.get("n_valid", 0)),
-            "n_test": int(data.get("n_test", 0)),
-            "max_len": int(data.get("max_len", 256)),
-            "shard_size": int(data.get("shard_size", 50_000)),
-            "pivot": data.get("pivot", "eng_Latn"),
-            "front_share": float(data.get("front_share", 0.5)),
-            "mean_span": int(data.get("mean_span", 3)),
-        }
-        schedule = data.get("schedule")
-        if schedule is not None:
-            schedule = dict(schedule)
-            schedule.setdefault(
-                "total_steps", math.ceil(kwargs["n_train"] / kwargs["batch_size"])
-            )
-            kwargs["schedule"] = policy_from_dict(schedule)
-        fmt = data.get("fmt")
-        if fmt is not None:
-            kwargs["fmt"] = ScaffoldFormat(
-                delimiter=fmt.get("delimiter", "\n"),
-                target_lang_tag_template=fmt.get("target_lang_tag_template", ""),
-            )
-        seg = data.get("seg")
-        if seg is not None:
-            kwargs["seg"] = Segmenter(
-                kind=seg.get("kind", "unicode_words"), counts_path=seg.get("counts_path")
-            )
-        fracs = data.get("split_fracs")
-        if fracs is not None:
-            kwargs["split_fracs"] = tuple(float(f) for f in fracs)
+        kwargs: dict = {}
+        for f in fields(cls):
+            value = data.get(f.name)
+            if value is None:
+                if f.default is MISSING and f.default_factory is MISSING:
+                    raise ValidationError(f"config missing required key: {f.name}")
+                continue
+            try:
+                if f.name == "schedule":
+                    total = math.ceil(kwargs["n_train"] / kwargs["batch_size"])
+                    value = policy_from_dict({"total_steps": total, **value})
+                elif f.name == "fmt":
+                    value = ScaffoldFormat(**value)
+                elif f.name == "seg":
+                    value = Segmenter(**value)
+                elif f.name == "split_fracs":
+                    value = tuple(float(x) for x in value)
+                elif f.type in _SCALAR_CASTS:
+                    value = _SCALAR_CASTS[f.type](value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"config key {f.name}: {exc}") from exc
+            kwargs[f.name] = value
         return cls(**kwargs)
 
 
@@ -439,7 +408,6 @@ def _counter_stats(counter: Counter) -> dict:
     if n == 0:
         return {"mean": None, "median": None}
     total = sum(length * count for length, count in counter.items())
-    values = []
     half = n // 2
     seen = 0
     lower = upper = None
@@ -546,6 +514,12 @@ def build(
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_text(payload, encoding="utf-8")
     os.replace(tmp, out_dir / "manifest.json")
+    # a rebuild into a reused directory must not leave shards of an older
+    # build for a glob over the directory to pick up
+    listed = {shard["path"] for split in splits.values() for shard in split["shards"]}
+    for path in out_dir.iterdir():
+        if _SHARD_NAME.fullmatch(path.name) and path.name not in listed:
+            path.unlink()
     return manifest
 
 
@@ -568,44 +542,24 @@ def stats(shard_paths: Iterable[str | Path], seg: Segmenter | None = None) -> di
     if seg.kind == "external_counts":
         raise UsageError("use stats_from_counts for sidecar token counts")
     tags: Counter = Counter()
-    input_lengths: list[int] = []
-    target_lengths: list[int] = []
+    input_lengths: Counter = Counter()
+    target_lengths: Counter = Counter()
     for path in shard_paths:
         with Path(path).open(encoding="utf-8") as fh:
             for line in fh:
                 obj = json.loads(line)
                 tags[obj["tag"]] += 1
-                input_lengths.append(count_units(obj["input"], seg))
-                target_lengths.append(count_units(obj["target"], seg))
-    if not input_lengths:
-        return {
-            "n_examples": 0,
-            "tags": {},
-            "input_length": {"mean": None, "median": None},
-            "target_length": {"mean": None, "median": None},
-        }
+                input_lengths[count_units(obj["input"], seg)] += 1
+                target_lengths[count_units(obj["target"], seg)] += 1
     return {
-        "n_examples": len(input_lengths),
+        "n_examples": sum(tags.values()),
         "tags": dict(sorted(tags.items())),
-        "input_length": {
-            "mean": statistics.mean(input_lengths),
-            "median": float(statistics.median(input_lengths)),
-        },
-        "target_length": {
-            "mean": statistics.mean(target_lengths),
-            "median": float(statistics.median(target_lengths)),
-        },
+        "input_length": _counter_stats(input_lengths),
+        "target_length": _counter_stats(target_lengths),
     }
 
 
 def stats_from_counts(counts_path: str | Path) -> dict:
     """Token stats from a sidecar count file produced by an external tokenizer."""
-    from .textseg import read_sidecar_counts
-
     counts = read_sidecar_counts(counts_path)
-    if not counts:
-        return {"n_examples": 0, "length": {"mean": None, "median": None}}
-    return {
-        "n_examples": len(counts),
-        "length": {"mean": statistics.mean(counts), "median": float(statistics.median(counts))},
-    }
+    return {"n_examples": len(counts), "length": _counter_stats(Counter(counts))}

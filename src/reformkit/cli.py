@@ -239,9 +239,11 @@ def _read_direction_scores(path: str) -> list[DirectionScore]:
         cols = line.split("\t")
         if len(cols) != 4:
             raise ValidationError(f"{path}: line {lineno}: expected src, tgt, value, n")
-        scores.append(
-            DirectionScore(cols[0], cols[1], float(cols[2]), int(cols[3]))
-        )
+        try:
+            value, n = float(cols[2]), int(cols[3])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {lineno}: value and n must be numbers") from exc
+        scores.append(DirectionScore(cols[0], cols[1], value, n))
     return scores
 
 

@@ -166,12 +166,18 @@ def load_manifest(path: str | Path) -> list[Language]:
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{path}: manifest must be a nonempty JSON array")
     langs = []
-    for entry in data:
+    for index, entry in enumerate(data):
+        if not isinstance(entry, dict) or "code" not in entry:
+            raise ValidationError(f'{path}: entry {index}: expected an object with a "code" key')
+        try:
+            pretrain_size = int(entry.get("pretrain_size", 0))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: entry {index}: pretrain_size is not an integer") from exc
         langs.append(
             Language(
                 code=entry["code"],
                 in_pretrain=bool(entry.get("in_pretrain", False)),
-                pretrain_size=int(entry.get("pretrain_size", 0)),
+                pretrain_size=pretrain_size,
             )
         )
     return langs

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus import Language, SentenceRecord, TranslationExample
 from .errors import AlignmentError, ValidationError
-from .textseg import Segmentation, Segmenter, segment, take_prefix, take_suffix
+from .textseg import Segmenter, segment, take_prefix, take_suffix
 
 TAG_BASELINE = "baseline"
 TAG_POSE = "pose"
@@ -280,18 +280,18 @@ def mask_tokens(
         raise ValidationError(f"mask rate {p} outside (0, 1)")
     _check_sentinel(sentinel_template)
     base = _as_reformulated(ex)
-    segmentation = segment(base.input_text, seg)
-    units = segmentation.units
+    source = base.input_text
+    units = segment(source, seg).units
     masked = [rng.random() < p for _ in units]
     pieces: list[str] = []
     k = 0
-    for unit, hit in zip(units, masked):
+    for (start, core_end, end), hit in zip(units, masked):
         if hit:
             pieces.append(_sentinel(sentinel_template, k))
-            pieces.append(segmentation.source[unit.core_end : unit.end])
+            pieces.append(source[core_end:end])
             k += 1
         else:
-            pieces.append(unit.text)
+            pieces.append(source[start:end])
     n_masked = sum(masked)
     realized = n_masked / len(units) if units else 0.0
     return ReformulatedExample(
@@ -322,6 +322,16 @@ def span_start_probability(p: float, mean_span: int) -> float:
     return p / (mean_span * (1.0 - p))
 
 
+def check_span_rate(p: float, mean_span: int) -> None:
+    """Reject a rate span masking cannot deliver: above
+    mean_span / (mean_span + 1) the start probability would exceed 1."""
+    if span_start_probability(p, mean_span) > 1.0:
+        raise ValidationError(
+            f"mask rate {p} is unreachable with mean span {mean_span}; "
+            f"span masking covers at most {mean_span}/{mean_span + 1} of the units"
+        )
+
+
 def span_mask(
     ex: TranslationExample | ReformulatedExample,
     p: float,
@@ -335,16 +345,18 @@ def span_mask(
     Span starts are drawn at eligible units with probability
     span_start_probability(p, mean_span); span lengths are geometric with
     the given mean; a one-unit gap after every span keeps spans from ever
-    being adjacent. Expected masked fraction is p.
+    being adjacent. Expected masked fraction is p; a p above
+    mean_span / (mean_span + 1) cannot be met and is rejected.
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"mask rate {p} outside (0, 1)")
     if mean_span < 1:
         raise ValidationError(f"mean span {mean_span} must be >= 1")
+    check_span_rate(p, mean_span)
     _check_sentinel(sentinel_template)
     base = _as_reformulated(ex)
-    segmentation = segment(base.input_text, seg)
-    units = segmentation.units
+    source = base.input_text
+    units = segment(source, seg).units
     q = span_start_probability(p, mean_span)
 
     pieces: list[str] = []
@@ -355,18 +367,18 @@ def span_mask(
     while i < len(units):
         if rng.random() < q:
             length = min(_geometric_span(rng, mean_span), len(units) - i)
-            last = units[i + length - 1]
+            _, core_end, end = units[i + length - 1]
             pieces.append(_sentinel(sentinel_template, k))
-            pieces.append(segmentation.source[last.core_end : last.end])
+            pieces.append(source[core_end:end])
             k += 1
             n_masked += length
             span_count += 1
             i += length
             if i < len(units):  # forced gap unit stays unmasked
-                pieces.append(units[i].text)
+                pieces.append(source[units[i][0] : units[i][2]])
                 i += 1
         else:
-            pieces.append(units[i].text)
+            pieces.append(source[units[i][0] : units[i][2]])
             i += 1
     realized = n_masked / len(units) if units else 0.0
     return ReformulatedExample(

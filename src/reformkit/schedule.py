@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .reformulate import check_span_rate
 
 KIND_WINDOW_FIRST = "window_first"
 KIND_MIX = "mix"
@@ -64,6 +65,8 @@ class SchedulePolicy:
                 raise ValidationError(f"mask rate {self.mask_p} outside (0, 1)")
             if self.mean_span < 1:
                 raise ValidationError("mean_span must be >= 1")
+            if self.span:
+                check_span_rate(self.mask_p, self.mean_span)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ which keeps unit counts equal to intuitive word counts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,10 +25,6 @@ SEGMENTER_KINDS = (
     KIND_CODEPOINTS,
     KIND_EXTERNAL_COUNTS,
 )
-
-# Script-specific word delimiters that are not Unicode whitespace.
-# U+0F0B / U+0F0C are the Tibetan intersyllabic tsheg marks.
-_EXTRA_SEPARATORS = frozenset({"་", "༌"})
 
 
 @dataclass(frozen=True)
@@ -46,27 +43,26 @@ class Segmenter:
             raise ValidationError("external_counts segmenter requires counts_path")
 
 
-@dataclass(frozen=True)
-class Unit:
-    """One segment: s[start:end], where s[start:core_end] is the word core and
-    s[core_end:end] holds trailing separators."""
-
-    text: str
-    start: int
-    end: int
-    core_end: int
+# One pattern per slicing kind. Each match is one unit: group 1 is the word
+# core, the rest trailing separators. Matches are greedy and adjacent, so
+# leading separators can only land on the first match, which starts at 0.
+# U+0F0B / U+0F0C are the Tibetan intersyllabic tsheg marks, word delimiters
+# that are not Unicode whitespace.
+_UNIT_PATTERNS = {
+    KIND_UNICODE_WORDS: re.compile(r"[\s་༌]*([^\s་༌]+)[\s་༌]*"),
+    KIND_WHITESPACE: re.compile(r"\s*(\S+)\s*"),
+    KIND_CODEPOINTS: re.compile(r"(.)", re.DOTALL),
+}
 
 
 @dataclass(frozen=True)
 class Segmentation:
+    """``units`` holds one ``(start, core_end, end)`` offset triple per unit:
+    source[start:core_end] is the word core and source[core_end:end] its
+    trailing separators."""
+
     source: str
-    units: tuple[Unit, ...]
-
-
-def _is_separator(ch: str, whitespace_only: bool) -> bool:
-    if ch.isspace():
-        return True
-    return not whitespace_only and ch in _EXTRA_SEPARATORS
+    units: tuple[tuple[int, int, int], ...]
 
 
 def segment(s: str, seg: Segmenter | None = None) -> Segmentation:
@@ -74,32 +70,11 @@ def segment(s: str, seg: Segmenter | None = None) -> Segmentation:
     seg = seg or Segmenter()
     if seg.kind == KIND_EXTERNAL_COUNTS:
         raise UsageError("external_counts cannot segment text; use sidecar counts")
-    if not s:
-        return Segmentation(s, ())
-    if seg.kind == KIND_CODEPOINTS:
-        units = tuple(Unit(s[i], i, i + 1, i + 1) for i in range(len(s)))
-        return Segmentation(s, units)
-
-    whitespace_only = seg.kind == KIND_WHITESPACE
-    n = len(s)
-    i = 0
-    while i < n and _is_separator(s[i], whitespace_only):
-        i += 1
-    if i == n:
+    units = tuple((m.start(), m.end(1), m.end()) for m in _UNIT_PATTERNS[seg.kind].finditer(s))
+    if s and not units:
         # Separator-only string: a single unit with no core.
-        return Segmentation(s, (Unit(s, 0, n, n),))
-
-    units: list[Unit] = []
-    start = 0  # leading separators attach to the first unit
-    while i < n:
-        while i < n and not _is_separator(s[i], whitespace_only):
-            i += 1
-        core_end = i
-        while i < n and _is_separator(s[i], whitespace_only):
-            i += 1
-        units.append(Unit(s[start:i], start, i, core_end))
-        start = i
-    return Segmentation(s, tuple(units))
+        units = ((0, len(s), len(s)),)
+    return Segmentation(s, units)
 
 
 def take_prefix(segmentation: Segmentation, k: int) -> str:
@@ -116,7 +91,7 @@ def take_prefix(segmentation: Segmentation, k: int) -> str:
         return ""
     if k == len(units):
         return segmentation.source
-    return segmentation.source[: units[k - 1].core_end]
+    return segmentation.source[: units[k - 1][1]]
 
 
 def take_suffix(segmentation: Segmentation, k: int) -> str:
@@ -126,16 +101,11 @@ def take_suffix(segmentation: Segmentation, k: int) -> str:
         raise UsageError(f"suffix length {k} out of range 0..{len(units)}")
     if k == 0:
         return ""
-    return segmentation.source[units[len(units) - k].start :]
+    return segmentation.source[units[len(units) - k][0] :]
 
 
 def count_units(s: str, seg: Segmenter | None = None) -> int:
     return len(segment(s, seg).units)
-
-
-def token_length(s: str, seg: Segmenter | None = None) -> int:
-    """Alias of count_units for stats-facing call sites."""
-    return count_units(s, seg)
 
 
 def read_sidecar_counts(path: str | Path) -> list[int]:

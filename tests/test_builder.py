@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from reformkit.builder import (
+    REFORM_KINDS,
     BuildConfig,
     batch_plan,
     build,
@@ -352,6 +354,34 @@ def test_manifest_counts_match_shard_recount(tmp_path):
     assert report["target_length"]["mean"] == pytest.approx(split["target_length"]["mean"])
 
 
+def test_stats_equals_manifest_stats(tmp_path):
+    # an even example count makes both medians average two middle values
+    corpus = synth_bilingual(300, seed=6)
+    cfg = BuildConfig(
+        task="bilingual", reform="pose", n_train=400, batch_size=100, seed=5,
+        max_len=12, shard_size=150,
+    )
+    split = build(corpus, cfg, tmp_path).splits["train"]
+    report = stats(sorted(Path(tmp_path).glob("train-*.jsonl")))
+    assert report == {key: split[key] for key in ("n_examples", "tags", "input_length", "target_length")}
+
+
+def test_rebuild_leaves_only_the_new_shards(tmp_path):
+    corpus = synth_bilingual(200, seed=2)
+    big = BuildConfig(
+        task="bilingual", reform="none", n_train=1000, batch_size=100, n_valid=20,
+        shard_size=500,
+    )
+    build(corpus, big, tmp_path)
+    (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+    manifest = build(corpus, replace(big, n_train=500, n_valid=0), tmp_path)
+    assert stats(sorted(tmp_path.glob("train-*.jsonl")))["n_examples"] == 500
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "manifest.json", "notes.txt", "train-00000.jsonl"
+    ]
+    assert manifest.splits["valid"]["shards"] == []
+
+
 def test_stats_empty_and_sidecar(tmp_path):
     report = stats([])
     assert report["n_examples"] == 0
@@ -424,3 +454,49 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({**data, "bogus": 1})
     with pytest.raises(ValidationError):
         BuildConfig.from_dict({"task": "bilingual"})
+    with pytest.raises(ValidationError, match="n_train"):
+        BuildConfig.from_dict({**data, "n_train": "many"})
+    minimal = {"task": "bilingual", "reform": "pose", "n_train": 10, "batch_size": 5}
+    assert BuildConfig.from_dict(minimal) == BuildConfig(**minimal)
+
+
+# SHA-256 of the train shard of each (reform, max_len) build below, recorded
+# from a known-good build: any change to the output bytes must be deliberate
+# and update these values.
+_PINNED_SHARDS = {
+    ("none", 256): "e4124d72b1d5887040a2c4c0748c890fc6cee279cf14bb09f88a17463fb491a8",
+    ("none", 8): "603ec0c002b596d3fe1c3faf4373aaaf31dc76fba0da7d0ac1e8f035c0f1fafd",
+    ("pose", 256): "8a115874c5cf397d676464623fa77d4721058ee257e4e85b96a54541eb88b730",
+    ("pose", 8): "cbaa8da91921b4b9347925981b206d240df6531bc4afb54253067343b45472ff",
+    ("prefix_suffix", 256): "a683ecf95df211bdf5a5914c2c120d528948307441d8aff36aa6aab926545f5c",
+    ("prefix_suffix", 8): "fea641ecfaa72cd0f6ad65f80ebffe15d50855cd75ac81c5e2d9d74402ccbf8c",
+    ("parse", 256): "49a1ee2ce5c3da0de6337342ff774265d1f2e72cf7b7b5c5286438c01a1baf8d",
+    ("parse", 8): "4fb41150d475ac6d630fb50e44ed3ff804d4194e34b5152ae2e6cafe69716082",
+    ("mips", 256): "5105b513895abd5acb79eb93e0ab5861a57b26f53ac4de7ba64e5858d82ce2cd",
+    ("mips", 8): "f431858a37457d23dfe330293a16006bcc81d70b740088a819ff5caf790f08bc",
+    ("mask1", 256): "2cd450be6b9fc7d2f46a995148883e939c20305a072ccdcea5766dffc74d41f2",
+    ("mask1", 8): "57da2f1413fcc2c6e4d4418823019e839571587e6bd336bfc9d417fba2b22623",
+    ("mask2", 256): "422f0f3a71086cf497cb119f268d900aab535c7a11d9f57f507d6dbbf9e3ccce",
+    ("mask2", 8): "e7dade6744b2447fe4be001b4705707c813a3eb50fe1f643b2c7393ca814d6a0",
+    ("mask3", 256): "74c321fd04fa781eef726be00af4aa4c1e41ee2046d558d0b846835a5168c70b",
+    ("mask3", 8): "da6df67bfaf2b82f286258730755bcb9105ef612d427167a8594aad4c9f81b1c",
+    ("mask4", 256): "ef06cc98c52f1709b8ca8291b5006ea6134f73ec12223f5cddbbc4d40c98a34d",
+    ("mask4", 8): "65c67ca83cc20c873982cedd81b496ec6e86011dbde22d1ebce7e51c2b3177f9",
+}
+
+
+def test_shard_digests_are_pinned(tmp_path):
+    bilingual = synth_bilingual(60, seed=3)
+    multi = synth_multiparallel(6, 40, seed=3)
+    got = {}
+    for reform in REFORM_KINDS:
+        for max_len in (256, 8):  # generous, and forcing truncation
+            task = "multiparallel" if reform in ("parse", "mips") else "bilingual"
+            cfg = BuildConfig(
+                task=task, reform=reform, n_train=120, batch_size=20, seed=4, max_len=max_len
+            )
+            corpus = multi if task == "multiparallel" else bilingual
+            manifest = build(corpus, cfg, tmp_path / f"{reform}-{max_len}")
+            (shard,) = manifest.splits["train"]["shards"]
+            got[reform, max_len] = shard["sha256"]
+    assert got == _PINNED_SHARDS

@@ -312,6 +312,32 @@ def test_missing_file_exits_1(tmp_path):
     assert err.startswith("error:")
 
 
+_GOOD_SCORES = "src\ttgt\tvalue\tn\nl01_Cyrl\teng_Latn\t40.0\t100\n"
+_GOOD_LANGS = '[{"code": "eng_Latn"}, {"code": "l01_Cyrl"}]'
+
+
+@pytest.mark.parametrize(
+    "scores, langs, where",
+    [
+        ("l01_Cyrl\teng_Latn\tforty\t100\n", _GOOD_LANGS, "line 1"),
+        (_GOOD_SCORES + "l01_Cyrl\teng_Latn\t40.0\tmany\n", _GOOD_LANGS, "line 3"),
+        (_GOOD_SCORES, '[{"code": "eng_Latn"}, {"in_pretrain": true}]', "entry 1"),
+        (_GOOD_SCORES, '["eng_Latn"]', "entry 0"),
+    ],
+)
+def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):
+    (tmp_path / "scores.tsv").write_text(scores, encoding="utf-8")
+    (tmp_path / "langs.json").write_text(langs, encoding="utf-8")
+    code, out, err = run_cli(
+        ["analyze", "--scores", str(tmp_path / "scores.tsv"),
+         "--langs", str(tmp_path / "langs.json")]
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and where in err
+
+
 def test_bad_flag_exits_2_via_module():
     proc = subprocess.run(
         [sys.executable, "-m", "reformkit.cli", "schedule", "--steps", "x"],

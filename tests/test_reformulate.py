@@ -332,6 +332,14 @@ def test_span_mask_validation():
         span_mask(_ex(), 0.25, 0, random.Random(0))
     with pytest.raises(ValidationError):
         span_mask(_ex(), 1.0, 3, random.Random(0))
+    # with the forced gap unit, spans cover at most mean_span / (mean_span + 1)
+    # of the units; a higher rate is rejected rather than silently missed
+    with pytest.raises(ValidationError, match="unreachable"):
+        span_mask(_ex(), 0.9, 1, random.Random(0))
+    with pytest.raises(ValidationError, match="unreachable"):
+        span_mask(_ex(), 0.8, 3, random.Random(0))
+    span_mask(_ex(), 0.5, 1, random.Random(0))
+    span_mask(_ex(), 0.75, 3, random.Random(0))
 
 
 def test_span_start_probability_closed_form():

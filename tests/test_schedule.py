@@ -202,3 +202,7 @@ def test_schedule_validation():
         mask_window(0.8, 0.2, 0.1, 10)
     with pytest.raises(ValidationError):
         mask_window(0.0, 1.0, 0.0, 10)
+    with pytest.raises(ValidationError, match="unreachable"):
+        mask_window(0.0, 1.0, 0.9, 10, span=True, mean_span=1)
+    mask_window(0.0, 1.0, 0.9, 10, span=False, mean_span=1)
+    assert mask_preset("mask4", 10).mean_span == 3
