@@ -146,10 +146,7 @@ class BuildConfig:
                     raise ValidationError(f"config missing required key: {f.name}")
                 continue
             try:
-                if f.name == "schedule":
-                    total = math.ceil(kwargs["n_train"] / kwargs["batch_size"])
-                    value = policy_from_dict({"total_steps": total, **value})
-                elif f.name == "fmt":
+                if f.name == "fmt":
                     value = ScaffoldFormat(**value)
                 elif f.name == "seg":
                     value = Segmenter(**value)
@@ -160,7 +157,17 @@ class BuildConfig:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"config key {f.name}: {exc}") from exc
             kwargs[f.name] = value
-        return cls(**kwargs)
+        schedule = kwargs.pop("schedule", None)
+        cfg = cls(**kwargs)
+        if schedule is None:
+            return cfg
+        # the stored total_steps is re-derived at build time; take it from
+        # the validated n_train and batch_size
+        try:
+            policy = policy_from_dict({"total_steps": cfg.total_steps, **schedule})
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"config key schedule: {exc}") from exc
+        return replace(cfg, schedule=policy)
 
 
 @dataclass(frozen=True)

@@ -440,10 +440,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the flush at
+        # interpreter exit cannot fail again (the SIGPIPE note in the
+        # ``signal`` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ReformkitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
         return 1

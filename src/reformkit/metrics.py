@@ -70,8 +70,34 @@ def _check_parallel(hyps: Sequence[str], refs: Sequence[str]) -> None:
         raise ValidationError("cannot score an empty corpus")
 
 
-def _ngram_counts(tokens: Sequence, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(seq: str | list[str], n: int) -> Counter:
+    """n-gram counts keyed by substrings of a string or tuples of tokens.
+
+    Unigrams of a token list are keyed by the tokens themselves; both sides
+    of a comparison are counted the same way, so only the keys' type differs.
+    """
+    if n == 1:
+        return Counter(seq)
+    if isinstance(seq, str):
+        return Counter([seq[i : i + n] for i in range(len(seq) - n + 1)])
+    return Counter(zip(*[seq[i:] for i in range(n)]))
+
+
+def _add_order_stats(stats: list[list[int]], hyp: str | list[str], ref: str | list[str]) -> None:
+    """Add one sentence pair's [clipped matches, hyp total, ref total] to
+    ``stats[n - 1]`` for every order n = 1..len(stats)."""
+    for n, cell in enumerate(stats, 1):
+        hyp_total = max(len(hyp) - n + 1, 0)
+        ref_total = max(len(ref) - n + 1, 0)
+        cell[1] += hyp_total
+        cell[2] += ref_total
+        if hyp_total and ref_total:
+            ref_counts = _ngram_counts(ref, n).get
+            matched = 0
+            for gram, count in _ngram_counts(hyp, n).items():
+                ref_count = ref_counts(gram, 0)
+                matched += count if count < ref_count else ref_count
+            cell[0] += matched
 
 
 def bleu(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = None) -> float:
@@ -86,8 +112,7 @@ def bleu(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = Non
     max_ref_len = max(len(r.split()) for r in refs)
     effective_n = max(1, min(cfg.max_ngram, max_ref_len))
 
-    matches = [0] * effective_n
-    totals = [0] * effective_n
+    stats = [[0, 0, 0] for _ in range(effective_n)]  # matched, hyp total, ref total
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hyps, refs):
@@ -95,16 +120,12 @@ def bleu(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = Non
         rtok = ref.split()
         hyp_len += len(htok)
         ref_len += len(rtok)
-        for n in range(1, effective_n + 1):
-            hc = _ngram_counts(htok, n)
-            rc = _ngram_counts(rtok, n)
-            matches[n - 1] += sum(min(count, rc[gram]) for gram, count in hc.items())
-            totals[n - 1] += max(len(htok) - n + 1, 0)
+        _add_order_stats(stats, htok, rtok)
 
     if hyp_len == 0:
         return 0.0
     log_precisions = []
-    for match, total in zip(matches, totals):
+    for match, total, _ in stats:
         if cfg.smoothing == SMOOTHING_ADD_K:
             precision = (match + cfg.smoothing_k) / (total + cfg.smoothing_k)
         else:
@@ -117,10 +138,6 @@ def bleu(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = Non
     return 100.0 * brevity * geo_mean
 
 
-def _char_tokens(text: str) -> str:
-    return "".join(text.split())
-
-
 def chrfpp(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = None) -> float:
     """chrF++: F-beta over averaged character and word n-gram P/R.
 
@@ -131,27 +148,18 @@ def chrfpp(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = N
     """
     cfg = cfg or ScoreConfig(metric="chrfpp")
     _check_parallel(hyps, refs)
-    orders = [("char", n) for n in range(1, cfg.char_n + 1)]
-    orders += [("word", n) for n in range(1, cfg.word_n + 1)]
-    stats = {order: [0, 0, 0] for order in orders}  # matched, hyp total, ref total
+    char_stats = [[0, 0, 0] for _ in range(cfg.char_n)]  # matched, hyp total, ref total
+    word_stats = [[0, 0, 0] for _ in range(cfg.word_n)]
 
     for hyp, ref in zip(hyps, refs):
-        for kind, n in orders:
-            if kind == "char":
-                hc = _ngram_counts(_char_tokens(hyp), n)
-                rc = _ngram_counts(_char_tokens(ref), n)
-            else:
-                hc = _ngram_counts(hyp.split(), n)
-                rc = _ngram_counts(ref.split(), n)
-            cell = stats[(kind, n)]
-            cell[0] += sum(min(count, rc[gram]) for gram, count in hc.items())
-            cell[1] += sum(hc.values())
-            cell[2] += sum(rc.values())
+        hwords = hyp.split()
+        rwords = ref.split()
+        _add_order_stats(char_stats, "".join(hwords), "".join(rwords))
+        _add_order_stats(word_stats, hwords, rwords)
 
     precisions = []
     recalls = []
-    for order in orders:
-        matched, hyp_total, ref_total = stats[order]
+    for matched, hyp_total, ref_total in char_stats + word_stats:
         if hyp_total + ref_total == 0:
             continue
         precisions.append(matched / hyp_total if hyp_total else 0.0)

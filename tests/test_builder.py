@@ -456,6 +456,11 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({"task": "bilingual"})
     with pytest.raises(ValidationError, match="n_train"):
         BuildConfig.from_dict({**data, "n_train": "many"})
+    # checked before the schedule's step count divides by it
+    with pytest.raises(ValidationError, match="batch_size must be >= 1"):
+        BuildConfig.from_dict({**data, "batch_size": 0})
+    with pytest.raises(ValidationError, match="schedule"):
+        BuildConfig.from_dict({**data, "schedule": ["mix"]})
     minimal = {"task": "bilingual", "reform": "pose", "n_train": 10, "batch_size": 5}
     assert BuildConfig.from_dict(minimal) == BuildConfig(**minimal)
 

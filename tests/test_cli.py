@@ -300,6 +300,17 @@ def test_unknown_preset_exits_1(tmp_path, multi_corpus):
     assert err.startswith("error:")
 
 
+def test_zero_batch_size_exits_1(tmp_path):
+    # the preset's schedule needs ceil(n_train / batch_size) steps
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("a b\tc d\ne f\tg h\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--preset", "curriculum1", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+         "--batch-size", "0", "--n-train", "100"]
+    )
+    assert (code, out, err) == (1, "", "error: batch_size must be >= 1\n")
+
+
 def test_missing_frac_exits_2():
     code, _, err = run_cli(["schedule", "--kind", "mix", "--steps", "100", "--dump"])
     assert code == 2
@@ -342,7 +353,7 @@ def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):
     assert err.startswith("error:") and where in err
 
 
-def run_python(argv):
+def run_python(argv, stdout=subprocess.PIPE):
     """Run a child Python on the ``reformkit`` package this process imported.
 
     ``PYTHONPATH`` gets that package's absolute parent directory first, so the
@@ -351,12 +362,30 @@ def run_python(argv):
     src = str(Path(reformkit.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in inherited if p]))
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_bad_flag_exits_2_via_module():
     proc = run_python([sys.executable, "-m", "reformkit.cli", "schedule", "--steps", "x"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv", [["presets"], ["schedule", "--preset", "mask4", "--steps", "100000", "--resolution", "1000"]]
+)
+def test_closed_stdout_exits_1_quietly(argv, unbuffered, monkeypatch):
+    # The read end is closed before the child starts, so every write to
+    # stdout fails with EPIPE: at the first print when unbuffered, else when
+    # the buffer fills (23 kB of schedule) or at the final flush (presets).
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = run_python([sys.executable, "-m", "reformkit.cli", *argv], stdout=write_fd)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_console_script_entry_point():

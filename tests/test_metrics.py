@@ -24,6 +24,7 @@ from reformkit.metrics import (
     score,
     score_direction,
 )
+from reformkit.synth import synth_multiparallel
 
 
 def _grams(seq, n):
@@ -165,6 +166,97 @@ def test_chrfpp_matches_oracle_on_random_corpora(pairs):
     hyps = [" ".join(h) for h, _ in pairs]
     refs = [" ".join(r) for _, r in pairs]
     assert chrfpp(hyps, refs) == pytest.approx(oracle_chrfpp(hyps, refs), abs=1e-9)
+
+
+# Tibetan syllables with tsheg, Devanagari with vowel signs and virama, CJK
+# without spaces, and ASCII; joined by runs of mixed whitespace. Sentences
+# are often shorter than char_n, and either side may be empty.
+_rich_words = st.sampled_from(
+    ["ab", "a", "bca", "ཁ་བ་", "འབབ", "བཀྲ་ཤིས་", "नमस्ते", "दुनिया", "कि", "猫が座った", "猫", "東京"]
+)
+_rich_space = st.sampled_from(["", " ", "  ", "\t", " \t ", "\t\t"])
+_rich_sentence = st.lists(st.tuples(_rich_space, _rich_words), max_size=6).map(
+    lambda parts: "".join(space + word for space, word in parts)
+)
+_rich_corpus = st.lists(st.tuples(_rich_sentence, _rich_sentence), min_size=1, max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _rich_corpus,
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_chrfpp_matches_oracle_on_rich_corpora(pairs, char_n, word_n, beta):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    cfg = ScoreConfig(char_n=char_n, word_n=word_n, beta=beta)
+    expected = oracle_chrfpp(hyps, refs, char_n=char_n, word_n=word_n, beta=beta)
+    assert chrfpp(hyps, refs, cfg) == pytest.approx(expected, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rich_corpus, st.integers(1, 5))
+def test_bleu_matches_oracle_on_rich_corpora(pairs, max_ngram):
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    cfg = ScoreConfig(metric="bleu", max_ngram=max_ngram)
+    expected = oracle_bleu(hyps, refs, max_ngram=max_ngram)
+    assert bleu(hyps, refs, cfg) == pytest.approx(expected, abs=1e-9)
+    cfg = ScoreConfig(metric="bleu", max_ngram=max_ngram, smoothing="add_k", smoothing_k=0.5)
+    expected = oracle_bleu(hyps, refs, max_ngram=max_ngram, add_k=Fraction(1, 2))
+    assert bleu(hyps, refs, cfg) == pytest.approx(expected, abs=1e-9)
+
+
+def _pinned_directions():
+    """Two directions of a seeded synthetic corpus: references in the target
+    language, hypotheses with words dropped or taken from the source."""
+    corpus = synth_multiparallel(8, 200, seed=1)
+    rng = random.Random(11)
+    directions = []
+    for src, tgt in (("l03_Arab", "eng_Latn"), ("eng_Latn", "l04_Tibt")):
+        hyps, refs = [], []
+        for record in corpus.records:
+            ref = record.texts[tgt]
+            words = [w for w in ref.split() if rng.random() > 0.2]
+            words = [rng.choice(record.texts[src].split()) if rng.random() < 0.2 else w for w in words]
+            hyps.append(" ".join(words))
+            refs.append(ref)
+        directions.append((hyps, refs))
+    hand = (
+        ["ཁ་བ་ འབབ  གི", "नमस्ते दुनिया", "猫が 座った", "", "the the the cat"],
+        ["ཁ་བ་ འབབ", "नमस्ते\tसंसार", "猫は座った", "a b", "the cat sat"],
+    )
+    return directions + [hand]
+
+
+# Scores of _pinned_directions() recorded from a known-good implementation:
+# any change to the counting must leave every float bit-identical.
+# Columns: chrF++ default, BLEU default, BLEU add-1, chrF++ with char_n=4,
+# word_n=3, beta=1, BLEU with max_ngram=2.
+_PINNED_SCORES = [
+    (64.99088852849798, 33.40238303320151, 33.4550882546357, 64.52888305501376, 50.186599081297736),
+    (67.03657874338445, 35.082052211905214, 35.133927497619, 66.1514474180446, 52.66867463418053),
+    (49.03987560010446, 0.0, 36.05623925768521, 43.3344453302339, 36.037498507822356),
+]
+
+
+def test_scores_are_pinned():
+    add_1 = ScoreConfig(metric="bleu", smoothing="add_k", smoothing_k=1.0)
+    odd_chrfpp = ScoreConfig(char_n=4, word_n=3, beta=1.0)
+    odd_bleu = ScoreConfig(metric="bleu", max_ngram=2)
+    got = [
+        (
+            chrfpp(hyps, refs),
+            bleu(hyps, refs),
+            bleu(hyps, refs, add_1),
+            chrfpp(hyps, refs, odd_chrfpp),
+            bleu(hyps, refs, odd_bleu),
+        )
+        for hyps, refs in _pinned_directions()
+    ]
+    assert got == _PINNED_SCORES
 
 
 @settings(max_examples=30, deadline=None)
