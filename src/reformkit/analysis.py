@@ -8,7 +8,7 @@ languages, by English involvement, and against pretraining-corpus size
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Language
@@ -26,7 +26,7 @@ class Cell:
     n: int
 
     def as_dict(self) -> dict:
-        return {"value": self.value, "n": self.n}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,7 @@ class BreakdownReport:
     avg: Cell
 
     def as_dict(self) -> dict:
-        return {
-            "in_in": self.in_in.as_dict(),
-            "out_in": self.out_in.as_dict(),
-            "in_out": self.in_out.as_dict(),
-            "out_out": self.out_out.as_dict(),
-            "to_eng": self.to_eng.as_dict(),
-            "from_eng": self.from_eng.as_dict(),
-            "avg": self.avg.as_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,21 +60,7 @@ class ScatterReport:
     degenerate: bool
 
     def as_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "rows": [
-                {
-                    "code": r.code,
-                    "pretrain_size": r.pretrain_size,
-                    "mean_score": r.mean_score,
-                    "n_directions": r.n_directions,
-                }
-                for r in self.rows
-            ],
-            "excluded": list(self.excluded),
-            "spearman": self.spearman,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def _lang_map(langs: Iterable[Language] | Mapping[str, Language]) -> dict[str, Language]:

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import random
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -23,13 +22,14 @@ from typing import Iterable, Sequence
 
 from .corpus import (
     BilingualCorpus,
-    Language,
     MultiParallelCorpus,
     TranslationExample,
+    _substream,
     corpus_digest,
     example_from_record,
+    partition,
 )
-from .errors import UsageError, ValidationError
+from .errors import ValidationError
 from .reformulate import (
     ReformulatedExample,
     ScaffoldFormat,
@@ -51,6 +51,7 @@ _SHARD_NAME = re.compile(r"(train|valid|test)-[0-9]{5,}\.jsonl")
 
 # Field annotations (strings under postponed evaluation) that from_dict casts.
 _SCALAR_CASTS = {"int": int, "float": float}
+_NESTED = {"fmt": ScaffoldFormat, "seg": Segmenter}
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,6 @@ class BuildConfig:
             raise ValidationError("max_len must be >= 1")
         if self.shard_size < 1:
             raise ValidationError("shard_size must be >= 1")
-        if self.seg.kind == "external_counts":
-            raise ValidationError("build needs a slicing segmenter, not external_counts")
         if len(self.split_fracs) != 3 or any(f < 0 for f in self.split_fracs):
             raise ValidationError("split_fracs must be three nonnegative fractions")
         if sum(self.split_fracs) > 1.0 + 1e-9:
@@ -146,10 +145,8 @@ class BuildConfig:
                     raise ValidationError(f"config missing required key: {f.name}")
                 continue
             try:
-                if f.name == "fmt":
-                    value = ScaffoldFormat(**value)
-                elif f.name == "seg":
-                    value = Segmenter(**value)
+                if f.name in _NESTED:
+                    value = _NESTED[f.name](**{k: v for k, v in dict(value).items() if v is not None})
                 elif f.name == "split_fracs":
                     value = tuple(float(x) for x in value)
                 elif f.type in _SCALAR_CASTS:
@@ -177,53 +174,19 @@ class BuildManifest:
     splits: dict
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "corpus_digest": self.corpus_digest,
-            "splits": self.splits,
-        }
-
-
-def _substream(seed: int, role: str, index: int) -> random.Random:
-    """Independent RNG stream for one (role, index); order-free determinism."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
-    h.update(role.encode("utf-8"))
-    h.update(index.to_bytes(8, "big"))
-    return random.Random(int.from_bytes(h.digest(), "big"))
+        return asdict(self)
 
 
 def split_pools(
     n_items: int, fracs: Sequence[float], seed: int
 ) -> dict[str, list[int]]:
     """Deterministically partition item indices into train/valid/test pools."""
-    rng = _substream(seed, "pool", 0)
-    order = list(range(n_items))
-    rng.shuffle(order)
-    a = math.floor(fracs[0] * n_items)
-    b = a + math.floor(fracs[1] * n_items)
-    c = b + math.floor(fracs[2] * n_items)
-    return {
-        "train": sorted(order[:a]),
-        "valid": sorted(order[a:b]),
-        "test": sorted(order[b:c]),
-    }
-
-
-def _decode_direction(idx: int, record_ids: Sequence[int], codes: Sequence[str]):
-    k = len(codes)
-    dirs = k * (k - 1)
-    rec = record_ids[idx // dirs]
-    rem = idx % dirs
-    s = rem // (k - 1)
-    t = rem % (k - 1)
-    if t >= s:
-        t += 1
-    return rec, codes[s], codes[t]
+    sizes = [math.floor(frac * n_items) for frac in fracs]
+    return dict(zip(_SPLITS, partition(n_items, sizes, seed)))
 
 
 def sample_pairs(
-    corpus: MultiParallelCorpus,
+    corpus: BilingualCorpus | MultiParallelCorpus,
     n: int,
     seed: int,
     record_ids: Sequence[int] | None = None,
@@ -231,43 +194,37 @@ def sample_pairs(
 ) -> list[tuple[int, str, str]]:
     """Uniform draws over (record, ordered language pair), src != tgt.
 
-    Without replacement when n fits in the combination space, with
-    replacement otherwise. Restricting ``record_ids`` keeps train, valid,
-    and test draws disjoint at the sentence level.
+    A bilingual corpus has one direction, source to target. Without
+    replacement when n fits in the combination space, with replacement
+    otherwise. Restricting ``record_ids`` keeps train, valid, and test
+    draws disjoint at the sentence level.
     """
-    codes = corpus.codes
-    if len(codes) < 2:
+    if isinstance(corpus, BilingualCorpus):
+        codes = (corpus.source_lang.code, corpus.target_lang.code)
+        dirs = 1
+    else:
+        codes = corpus.codes
+        dirs = len(codes) * (len(codes) - 1)
+    if not dirs:
         raise ValidationError("need at least 2 languages to form direction pairs")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if record_ids is None:
-        record_ids = range(len(corpus.records))
-    record_ids = list(record_ids)
+    record_ids = list(range(len(corpus)) if record_ids is None else record_ids)
     if not record_ids:
         raise ValidationError("empty record pool")
-    total = len(record_ids) * len(codes) * (len(codes) - 1)
+    total = len(record_ids) * dirs
     rng = _substream(seed, role, 0)
     if n <= total:
         picks = rng.sample(range(total), n)
     else:
         picks = [rng.randrange(total) for _ in range(n)]
-    return [_decode_direction(i, record_ids, codes) for i in picks]
-
-
-def _sample_bilingual(
-    corpus: BilingualCorpus, n: int, seed: int, pair_ids: Sequence[int], role: str
-) -> list[tuple[int, str, str]]:
-    if not pair_ids:
-        raise ValidationError("empty pair pool")
-    pair_ids = list(pair_ids)
-    rng = _substream(seed, role, 0)
-    if n <= len(pair_ids):
-        picks = rng.sample(range(len(pair_ids)), n)
-    else:
-        picks = [rng.randrange(len(pair_ids)) for _ in range(n)]
-    src = corpus.source_lang.code
-    tgt = corpus.target_lang.code
-    return [(pair_ids[i], src, tgt) for i in picks]
+    # index -> (record, source slot, target slot other than the source)
+    out = []
+    for idx in picks:
+        rec, rem = divmod(idx, dirs)
+        s, t = divmod(rem, len(codes) - 1)
+        out.append((record_ids[rec], codes[s], codes[t + (t >= s)]))
+    return out
 
 
 def _truncate_parts(
@@ -381,33 +338,56 @@ def _encode_example(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
-def _shard_job(args) -> dict:
+@dataclass
+class _Tally:
+    """Tag counts and unit-length histograms over examples. ``truncated`` is
+    counted by the shard jobs only: a shard line read back by ``stats`` need
+    not carry it."""
+
+    tags: Counter = field(default_factory=Counter)
+    input_lengths: Counter = field(default_factory=Counter)
+    target_lengths: Counter = field(default_factory=Counter)
+    truncated: int = 0
+
+    def add(self, obj: dict, seg: Segmenter) -> None:
+        self.tags[obj["tag"]] += 1
+        self.input_lengths[count_units(obj["input"], seg)] += 1
+        self.target_lengths[count_units(obj["target"], seg)] += 1
+
+    def merge(self, other: "_Tally") -> None:
+        self.tags.update(other.tags)
+        self.input_lengths.update(other.input_lengths)
+        self.target_lengths.update(other.target_lengths)
+        self.truncated += other.truncated
+
+    def summary(self) -> dict:
+        return {
+            "n_examples": sum(self.tags.values()),
+            "tags": dict(sorted(self.tags.items())),
+            "input_length": _counter_stats(self.input_lengths),
+            "target_length": _counter_stats(self.target_lengths),
+        }
+
+
+def _shard_job(args) -> tuple[dict, _Tally]:
     corpus, cfg, schedule, split, start, assignments, out_path = args
-    tags: Counter = Counter()
-    input_lengths: Counter = Counter()
-    target_lengths: Counter = Counter()
-    truncated = 0
+    tally = _Tally()
     lines = []
     for offset, assignment in enumerate(assignments):
         obj = _build_example(corpus, cfg, schedule, split, start + offset, assignment)
-        tags[obj["tag"]] += 1
-        input_lengths[count_units(obj["input"], cfg.seg)] += 1
-        target_lengths[count_units(obj["target"], cfg.seg)] += 1
-        truncated += bool(obj["meta"]["truncated"])
+        tally.add(obj, cfg.seg)
+        tally.truncated += obj["meta"]["truncated"]
         lines.append(_encode_example(obj))
     payload = "".join(lines).encode("utf-8")
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     tmp_path.write_bytes(payload)
     os.replace(tmp_path, out_path)
-    return {
+    shard = {
         "path": out_path.name,
         "n_examples": len(assignments),
         "sha256": hashlib.sha256(payload).hexdigest(),
-        "tags": dict(tags),
-        "input_lengths": dict(input_lengths),
-        "target_lengths": dict(target_lengths),
-        "truncated": truncated,
     }
+    return shard, tally
 
 
 def _counter_stats(counter: Counter) -> dict:
@@ -460,8 +440,7 @@ def build(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    n_items = len(corpus.pairs) if cfg.task == "bilingual" else len(corpus.records)
-    pools = split_pools(n_items, cfg.split_fracs, cfg.seed)
+    pools = split_pools(len(corpus), cfg.split_fracs, cfg.seed)
 
     jobs = []
     for split, n_wanted in (("train", cfg.n_train), ("valid", cfg.n_valid), ("test", cfg.n_test)):
@@ -472,10 +451,7 @@ def build(
             raise ValidationError(
                 f"{split} pool is empty; adjust split_fracs or corpus size"
             )
-        if cfg.task == "bilingual":
-            assignments = _sample_bilingual(corpus, n_wanted, cfg.seed, pool, f"sample:{split}")
-        else:
-            assignments = sample_pairs(corpus, n_wanted, cfg.seed, pool, f"sample:{split}")
+        assignments = sample_pairs(corpus, n_wanted, cfg.seed, pool, f"sample:{split}")
         for shard_index, start in enumerate(range(0, n_wanted, cfg.shard_size)):
             chunk = assignments[start : start + cfg.shard_size]
             path = out_dir / f"{split}-{shard_index:05d}.jsonl"
@@ -489,28 +465,13 @@ def build(
 
     splits: dict = {}
     for split in _SPLITS:
-        split_results = [r for job, r in zip(jobs, results) if job[3] == split]
-        tags: Counter = Counter()
-        input_lengths: Counter = Counter()
-        target_lengths: Counter = Counter()
-        truncated = 0
+        tally = _Tally()
         shards = []
-        for r in split_results:
-            tags.update(r["tags"])
-            input_lengths.update({int(k): v for k, v in r["input_lengths"].items()})
-            target_lengths.update({int(k): v for k, v in r["target_lengths"].items()})
-            truncated += r["truncated"]
-            shards.append(
-                {"path": r["path"], "n_examples": r["n_examples"], "sha256": r["sha256"]}
-            )
-        splits[split] = {
-            "n_examples": sum(tags.values()),
-            "tags": dict(sorted(tags.items())),
-            "truncated": truncated,
-            "input_length": _counter_stats(input_lengths),
-            "target_length": _counter_stats(target_lengths),
-            "shards": shards,
-        }
+        for job, (shard, shard_tally) in zip(jobs, results):
+            if job[3] == split:
+                tally.merge(shard_tally)
+                shards.append(shard)
+        splits[split] = {**tally.summary(), "truncated": tally.truncated, "shards": shards}
 
     manifest = BuildManifest(
         config=cfg.to_dict(),
@@ -544,26 +505,28 @@ def batch_plan(
 
 
 def stats(shard_paths: Iterable[str | Path], seg: Segmenter | None = None) -> dict:
-    """Recount tags and token lengths straight from shard files."""
+    """Recount tags and token lengths straight from shard files, one line
+    at a time."""
     seg = seg or Segmenter()
-    if seg.kind == "external_counts":
-        raise UsageError("use stats_from_counts for sidecar token counts")
-    tags: Counter = Counter()
-    input_lengths: Counter = Counter()
-    target_lengths: Counter = Counter()
+    tally = _Tally()
     for path in shard_paths:
         with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                tags[obj["tag"]] += 1
-                input_lengths[count_units(obj["input"], seg)] += 1
-                target_lengths[count_units(obj["target"], seg)] += 1
-    return {
-        "n_examples": sum(tags.values()),
-        "tags": dict(sorted(tags.items())),
-        "input_length": _counter_stats(input_lengths),
-        "target_length": _counter_stats(target_lengths),
-    }
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError:
+                    obj = None
+                if not (
+                    isinstance(obj, dict)
+                    and isinstance(obj.get("tag"), str)
+                    and isinstance(obj.get("input"), str)
+                    and isinstance(obj.get("target"), str)
+                ):
+                    raise ValidationError(
+                        f"{path}: line {lineno}: expected a JSON object with string tag, input and target"
+                    )
+                tally.add(obj, seg)
+    return tally.summary()
 
 
 def stats_from_counts(counts_path: str | Path) -> dict:

@@ -30,6 +30,7 @@ from .schedule import (
     window_first,
 )
 from .synth import synth_multiparallel
+from .textseg import SEGMENTER_KINDS, Segmenter
 
 # Named experiment configurations. The tib2eng family reformulates the
 # first X% of training steps; the parallel-scaffold family uses an 80/20
@@ -122,7 +123,10 @@ def _cmd_build(args) -> int:
             raise ValidationError(f"unknown preset: {args.preset!r}")
         config.update(PRESETS[args.preset])
     if args.config:
-        config.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"{args.config}: config must be a JSON object")
+        config.update(loaded)
     overrides = {
         "task": args.task,
         "reform": args.reform,
@@ -225,8 +229,6 @@ def _cmd_stats(args) -> int:
         return 0
     if not args.shards:
         raise UsageError("stats needs shard paths or --counts")
-    from .textseg import Segmenter
-
     _emit(stats(args.shards, Segmenter(args.seg)))
     return 0
 
@@ -409,11 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="token statistics over shards or sidecar counts")
     p.add_argument("shards", nargs="*", help="shard JSONL paths")
     p.add_argument("--counts", help="sidecar token-count file")
-    p.add_argument(
-        "--seg",
-        choices=("unicode_words", "whitespace", "codepoints"),
-        default="unicode_words",
-    )
+    p.add_argument("--seg", choices=SEGMENTER_KINDS, default="unicode_words")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("analyze", help="breakdown and scatter over direction scores")

@@ -17,9 +17,9 @@ import hashlib
 import json
 import random
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import AlignmentError, UsageError, ValidationError
 
@@ -252,26 +252,40 @@ def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> N
         (directory / f"{lang.code}.txt").write_text(lines, encoding="utf-8", newline="\n")
 
 
+def _substream(seed: int, role: str, index: int) -> random.Random:
+    """Independent RNG stream for one (role, index); order-free determinism."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
+    h.update(role.encode("utf-8"))
+    h.update(index.to_bytes(8, "big"))
+    return random.Random(int.from_bytes(h.digest(), "big"))
+
+
+def partition(n_items: int, sizes: Sequence[int], seed: int) -> list[list[int]]:
+    """Shuffle ``range(n_items)`` under the (seed, "pool") substream and cut
+    it into consecutive parts of ``sizes``, each returned sorted."""
+    order = list(range(n_items))
+    _substream(seed, "pool", 0).shuffle(order)
+    parts = []
+    start = 0
+    for size in sizes:
+        parts.append(sorted(order[start : start + size]))
+        start += size
+    return parts
+
+
 def split(
     corpus: BilingualCorpus | MultiParallelCorpus,
     sizes: tuple[int, int, int],
     seed: int,
 ):
     """Deterministically split into (train, valid, test) of exactly ``sizes``."""
-    n_train, n_valid, n_test = sizes
-    if min(sizes) < 0:
-        raise ValidationError("split sizes must be nonnegative")
+    if len(sizes) != 3 or min(sizes) < 0:
+        raise ValidationError("split sizes must be three nonnegative counts")
     total = len(corpus)
-    if n_train + n_valid + n_test > total:
+    if sum(sizes) > total:
         raise ValidationError(f"split sizes {sizes} exceed corpus size {total}")
-    rng = random.Random(seed)
-    order = list(range(total))
-    rng.shuffle(order)
-    picks = (
-        sorted(order[:n_train]),
-        sorted(order[n_train : n_train + n_valid]),
-        sorted(order[n_train + n_valid : n_train + n_valid + n_test]),
-    )
+    picks = partition(total, sizes, seed)
     if isinstance(corpus, BilingualCorpus):
         return tuple(
             BilingualCorpus(corpus.source_lang, corpus.target_lang, tuple(corpus.pairs[i] for i in idx))

@@ -50,6 +50,8 @@ class ScaffoldFormat:
     target_lang_tag_template: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.delimiter, str) or not isinstance(self.target_lang_tag_template, str):
+            raise ValidationError("scaffold delimiter and tag template must be strings")
         if not self.delimiter:
             raise ValidationError("scaffold delimiter must be nonempty")
         if self.target_lang_tag_template and "{code}" not in self.target_lang_tag_template:

@@ -9,7 +9,7 @@ excluded from the segment below it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .reformulate import check_span_rate
@@ -251,6 +251,9 @@ def policy_to_dict(policy: SchedulePolicy) -> dict:
 
 
 def policy_from_dict(data: dict) -> SchedulePolicy:
+    unknown = set(data) - {f.name for f in fields(SchedulePolicy)}
+    if unknown:
+        raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
     try:
         kind = data["kind"]
         total_steps = int(data["total_steps"])

@@ -17,33 +17,23 @@ from .errors import UsageError, ValidationError
 KIND_UNICODE_WORDS = "unicode_words"
 KIND_WHITESPACE = "whitespace"
 KIND_CODEPOINTS = "codepoints"
-KIND_EXTERNAL_COUNTS = "external_counts"
 
-SEGMENTER_KINDS = (
-    KIND_UNICODE_WORDS,
-    KIND_WHITESPACE,
-    KIND_CODEPOINTS,
-    KIND_EXTERNAL_COUNTS,
-)
+SEGMENTER_KINDS = (KIND_UNICODE_WORDS, KIND_WHITESPACE, KIND_CODEPOINTS)
 
 
 @dataclass(frozen=True)
 class Segmenter:
-    """Segmentation policy. ``external_counts`` reads a sidecar count file and
-    cannot slice text; it exists for reporting stats under an external
-    subword tokenizer."""
+    """Segmentation policy. Token counts from an external subword tokenizer
+    come from a sidecar file instead (``read_sidecar_counts``)."""
 
     kind: str = KIND_UNICODE_WORDS
-    counts_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SEGMENTER_KINDS:
             raise ValidationError(f"unknown segmenter kind: {self.kind!r}")
-        if self.kind == KIND_EXTERNAL_COUNTS and not self.counts_path:
-            raise ValidationError("external_counts segmenter requires counts_path")
 
 
-# One pattern per slicing kind. Each match is one unit: group 1 is the word
+# One pattern per kind. Each match is one unit: group 1 is the word
 # core, the rest trailing separators. Matches are greedy and adjacent, so
 # leading separators can only land on the first match, which starts at 0.
 # U+0F0B / U+0F0C are the Tibetan intersyllabic tsheg marks, word delimiters
@@ -68,8 +58,6 @@ class Segmentation:
 def segment(s: str, seg: Segmenter | None = None) -> Segmentation:
     """Split ``s`` into units whose spans exactly tile the string."""
     seg = seg or Segmenter()
-    if seg.kind == KIND_EXTERNAL_COUNTS:
-        raise UsageError("external_counts cannot segment text; use sidecar counts")
     units = tuple((m.start(), m.end(1), m.end()) for m in _UNIT_PATTERNS[seg.kind].finditer(s))
     if s and not units:
         # Separator-only string: a single unit with no core.
@@ -123,10 +111,3 @@ def read_sidecar_counts(path: str | Path) -> list[int]:
             raise ValidationError(f"{path}: line {lineno}: negative count")
         counts.append(count)
     return counts
-
-
-def sidecar_counts(seg: Segmenter) -> list[int]:
-    if seg.kind != KIND_EXTERNAL_COUNTS:
-        raise UsageError("sidecar_counts requires an external_counts segmenter")
-    assert seg.counts_path is not None
-    return read_sidecar_counts(seg.counts_path)

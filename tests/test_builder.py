@@ -23,6 +23,7 @@ from reformkit.corpus import Language, MultiParallelCorpus, SentenceRecord
 from reformkit.errors import ValidationError
 from reformkit.schedule import mix, window_first
 from reformkit.synth import synth_bilingual, synth_multiparallel
+from reformkit.textseg import Segmenter
 
 
 def _read_examples(out_dir, split="train"):
@@ -70,6 +71,17 @@ def test_sample_pairs_single_language_rejected():
     corpus = MultiParallelCorpus(langs, (SentenceRecord(0, {"only": "x"}),))
     with pytest.raises(ValidationError):
         sample_pairs(corpus, 1, seed=0)
+
+
+def test_sample_pairs_bilingual_draws_are_pinned():
+    # the draws of the former bilingual-only sampler on the same pool
+    corpus = synth_bilingual(25, seed=1)
+    pool = [3, 5, 8, 13, 21]
+    direction = ("bod_Tibt", "eng_Latn")
+    within = sample_pairs(corpus, 4, 6, pool, "sample:train")
+    assert within == [(i, *direction) for i in (13, 5, 21, 8)]
+    beyond = sample_pairs(corpus, 9, 6, pool, "sample:train")
+    assert beyond == [(i, *direction) for i in (13, 21, 21, 21, 21, 5, 8, 8, 5)]
 
 
 def test_split_pools_disjoint_and_deterministic():
@@ -356,14 +368,21 @@ def test_manifest_counts_match_shard_recount(tmp_path):
 
 def test_stats_equals_manifest_stats(tmp_path):
     # an even example count makes both medians average two middle values
-    corpus = synth_bilingual(300, seed=6)
-    cfg = BuildConfig(
-        task="bilingual", reform="pose", n_train=400, batch_size=100, seed=5,
-        max_len=12, shard_size=150,
+    inputs = (
+        ("pose", synth_bilingual(300, seed=6)),
+        ("parse", synth_multiparallel(6, 100, seed=6)),
     )
-    split = build(corpus, cfg, tmp_path).splits["train"]
-    report = stats(sorted(Path(tmp_path).glob("train-*.jsonl")))
-    assert report == {key: split[key] for key in ("n_examples", "tags", "input_length", "target_length")}
+    for reform, corpus in inputs:
+        task = "bilingual" if reform == "pose" else "multiparallel"
+        cfg = BuildConfig(
+            task=task, reform=reform, n_train=400, batch_size=100, seed=5,
+            max_len=12, shard_size=150,
+        )
+        split = build(corpus, cfg, tmp_path / reform).splits["train"]
+        report = stats(sorted((tmp_path / reform).glob("train-*.jsonl")))
+        assert report == {
+            key: split[key] for key in ("n_examples", "tags", "input_length", "target_length")
+        }
 
 
 def test_rebuild_leaves_only_the_new_shards(tmp_path):
@@ -461,8 +480,17 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({**data, "batch_size": 0})
     with pytest.raises(ValidationError, match="schedule"):
         BuildConfig.from_dict({**data, "schedule": ["mix"]})
+    with pytest.raises(ValidationError, match="must be strings"):
+        BuildConfig.from_dict({**data, "fmt": {"delimiter": 5}})
+    with pytest.raises(ValidationError, match="must be strings"):
+        BuildConfig.from_dict({**data, "fmt": {"target_lang_tag_template": ["<2{code}>"]}})
+    with pytest.raises(ValidationError, match="seg"):
+        BuildConfig.from_dict({**data, "seg": {"kind": "unicode_words", "counts_path": "c.txt"}})
     minimal = {"task": "bilingual", "reform": "pose", "n_train": 10, "batch_size": 5}
     assert BuildConfig.from_dict(minimal) == BuildConfig(**minimal)
+    # configs echoed by older builds carry a null seg.counts_path
+    echoed = {**minimal, "seg": {"kind": "whitespace", "counts_path": None}}
+    assert BuildConfig.from_dict(echoed).seg == Segmenter("whitespace")
 
 
 # SHA-256 of the train shard of each (reform, max_len) build below, recorded
@@ -505,3 +533,14 @@ def test_shard_digests_are_pinned(tmp_path):
             (shard,) = manifest.splits["train"]["shards"]
             got[reform, max_len] = shard["sha256"]
     assert got == _PINNED_SHARDS
+    # valid and test shards: plain baseline examples, truncated at max_len
+    cfg = BuildConfig(
+        task="bilingual", reform="pose", n_train=120, batch_size=20, seed=4, max_len=8,
+        n_valid=5, n_test=4, split_fracs=(0.8, 0.1, 0.1),
+    )
+    manifest = build(bilingual, cfg, tmp_path / "splits")
+    assert {name: [s["sha256"] for s in split["shards"]] for name, split in manifest.splits.items()} == {
+        "train": ["d2058595256d47fb14439a5a62f65fe09064a819bc0ee74c450520ffa80af0cf"],
+        "valid": ["75d4f479ecd98062f021748723514cc459d7447d86c260e50495d18244afab6c"],
+        "test": ["c8a32f50c813b433e172770b175c1a3ed5896cc5c66a033bfcac07c7f0164c93"],
+    }

@@ -311,6 +311,27 @@ def test_zero_batch_size_exits_1(tmp_path):
     assert (code, out, err) == (1, "", "error: batch_size must be >= 1\n")
 
 
+def test_non_object_config_exits_1(tmp_path, multi_corpus):
+    config = tmp_path / "config.json"
+    config.write_text("[1]", encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b")]
+    )
+    assert (code, out, err) == (1, "", f"error: {config}: config must be a JSON object\n")
+
+
+@pytest.mark.parametrize("bad", ['{"tag":"baseline","input":"a"}', "[1,2]", "not json"])
+def test_stats_bad_line_exits_1(tmp_path, bad):
+    shard = tmp_path / "train-00000.jsonl"
+    good = '{"tag":"baseline","input":"a b","target":"c"}'
+    shard.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    code, out, err = run_cli(["stats", str(shard)])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {shard}: line 2:")
+
+
 def test_missing_frac_exits_2():
     code, _, err = run_cli(["schedule", "--kind", "mix", "--steps", "100", "--dump"])
     assert code == 2

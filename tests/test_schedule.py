@@ -205,4 +205,6 @@ def test_schedule_validation():
     with pytest.raises(ValidationError, match="unreachable"):
         mask_window(0.0, 1.0, 0.9, 10, span=True, mean_span=1)
     mask_window(0.0, 1.0, 0.9, 10, span=False, mean_span=1)
+    with pytest.raises(ValidationError, match="fraction"):
+        policy_from_dict({"kind": "window_first", "total_steps": 10, "fraction": 0.5})
     assert mask_preset("mask4", 10).mean_span == 3

@@ -11,13 +11,11 @@ from hypothesis import given, strategies as st
 from reformkit.errors import UsageError, ValidationError
 from reformkit.textseg import (
     KIND_CODEPOINTS,
-    KIND_EXTERNAL_COUNTS,
     KIND_WHITESPACE,
     Segmenter,
     count_units,
     read_sidecar_counts,
     segment,
-    sidecar_counts,
     take_prefix,
     take_suffix,
 )
@@ -164,16 +162,12 @@ def test_segmenter_validation():
     with pytest.raises(ValidationError):
         Segmenter("sentencepiece")
     with pytest.raises(ValidationError):
-        Segmenter(KIND_EXTERNAL_COUNTS)
-    with pytest.raises(UsageError):
-        segment("abc", Segmenter(KIND_EXTERNAL_COUNTS, counts_path="x"))
+        Segmenter("external_counts")
 
 
 def test_sidecar_counts(tmp_path):
     path = tmp_path / "counts.txt"
     path.write_text("3\n14\n7\n", encoding="utf-8")
-    seg = Segmenter(KIND_EXTERNAL_COUNTS, counts_path=str(path))
-    assert sidecar_counts(seg) == [3, 14, 7]
     assert read_sidecar_counts(path) == [3, 14, 7]
 
 
@@ -185,5 +179,3 @@ def test_sidecar_counts_rejects_garbage(tmp_path):
     path.write_text("3\n-1\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 2"):
         read_sidecar_counts(path)
-    with pytest.raises(UsageError):
-        sidecar_counts(Segmenter())
