@@ -27,6 +27,7 @@ from .corpus import (
     _substream,
     corpus_digest,
     example_from_record,
+    open_utf8,
     partition,
 )
 from .errors import ValidationError
@@ -229,16 +230,18 @@ def sample_pairs(
 
 def _truncate_parts(
     parts: tuple[str, ...], max_len: int, seg: Segmenter, fmt: ScaffoldFormat
-) -> tuple[str, tuple[str, ...], bool]:
+) -> tuple[str, tuple[str, ...], bool, int]:
     """Trim scaffold parts from the right, then the base, until the joined
     input fits in max_len units. The base always keeps at least one unit;
-    the target side is never touched by construction."""
+    the target side is never touched by construction. Also returns the
+    unit count of the joined input."""
     truncated = False
     while True:
         joined = fmt.delimiter.join(p for p in parts if p)
-        over = count_units(joined, seg) - max_len
+        n_units = count_units(joined, seg)
+        over = n_units - max_len
         if over <= 0:
-            return joined, parts, truncated
+            return joined, parts, truncated, n_units
         truncated = True
         for idx in range(len(parts) - 1, -1, -1):
             part_seg = segment(parts[idx], seg)
@@ -249,7 +252,7 @@ def _truncate_parts(
                 parts = parts[:idx] + ((new_part,) if new_part else ()) + parts[idx + 1 :]
                 break
         else:  # base is down to one unit; nothing left to trim
-            return joined, parts, truncated
+            return joined, parts, truncated, n_units
 
 
 def _build_example(
@@ -259,7 +262,11 @@ def _build_example(
     split: str,
     index: int,
     assignment: tuple[int, str, str],
-) -> dict:
+    mips_codes: Sequence[str],
+) -> tuple[dict, int]:
+    """One example and the unit count of its input. A mips example draws
+    its two extra languages from ``mips_codes``, the corpus codes sorted
+    once per build."""
     rng = _substream(cfg.seed, f"example:{split}", index)
     item_id, src_code, tgt_code = assignment
     if cfg.task == "bilingual":
@@ -296,7 +303,7 @@ def _build_example(
             record, example.source_lang, example.target_lang, corpus.language(cfg.pivot), cfg.fmt
         )
     elif cfg.reform == "mips":
-        candidates = sorted(set(corpus.codes) - {src_code, tgt_code})
+        candidates = [code for code in mips_codes if code not in (src_code, tgt_code)]
         aux_in, aux_out = rng.sample(candidates, 2)
         out = mips_reform(
             record,
@@ -309,7 +316,7 @@ def _build_example(
     else:  # mask presets scaffold nothing; masking happens below
         out = baseline(example, cfg.fmt)
 
-    input_text, parts, truncated = _truncate_parts(
+    input_text, parts, truncated, input_units = _truncate_parts(
         out.input_parts or (out.input_text,), cfg.max_len, cfg.seg, cfg.fmt
     )
     tag = out.tag
@@ -323,6 +330,8 @@ def _build_example(
         else:
             masked = mask_tokens(interim, mask_cfg.p, rng, cfg.seg)
         input_text = masked.input_text
+        # masking rewrote the input, and a masked span is one unit now
+        input_units = count_units(input_text, cfg.seg)
         tag = masked.tag
         meta = dict(masked.meta)
 
@@ -331,7 +340,7 @@ def _build_example(
     meta["truncated"] = truncated
     if step is not None:
         meta["step_index"] = step
-    return {"input": input_text, "target": out.target_text, "tag": tag, "meta": meta}
+    return {"input": input_text, "target": out.target_text, "tag": tag, "meta": meta}, input_units
 
 
 def _encode_example(obj: dict) -> str:
@@ -349,10 +358,10 @@ class _Tally:
     target_lengths: Counter = field(default_factory=Counter)
     truncated: int = 0
 
-    def add(self, obj: dict, seg: Segmenter) -> None:
-        self.tags[obj["tag"]] += 1
-        self.input_lengths[count_units(obj["input"], seg)] += 1
-        self.target_lengths[count_units(obj["target"], seg)] += 1
+    def add(self, tag: str, input_units: int, target_units: int) -> None:
+        self.tags[tag] += 1
+        self.input_lengths[input_units] += 1
+        self.target_lengths[target_units] += 1
 
     def merge(self, other: "_Tally") -> None:
         self.tags.update(other.tags)
@@ -370,12 +379,14 @@ class _Tally:
 
 
 def _shard_job(args) -> tuple[dict, _Tally]:
-    corpus, cfg, schedule, split, start, assignments, out_path = args
+    corpus, cfg, schedule, split, start, assignments, out_path, mips_codes = args
     tally = _Tally()
     lines = []
     for offset, assignment in enumerate(assignments):
-        obj = _build_example(corpus, cfg, schedule, split, start + offset, assignment)
-        tally.add(obj, cfg.seg)
+        obj, input_units = _build_example(
+            corpus, cfg, schedule, split, start + offset, assignment, mips_codes
+        )
+        tally.add(obj["tag"], input_units, count_units(obj["target"], cfg.seg))
         tally.truncated += obj["meta"]["truncated"]
         lines.append(_encode_example(obj))
     payload = "".join(lines).encode("utf-8")
@@ -441,6 +452,7 @@ def build(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     pools = split_pools(len(corpus), cfg.split_fracs, cfg.seed)
+    mips_codes = tuple(sorted(corpus.codes)) if cfg.reform == "mips" else ()
 
     jobs = []
     for split, n_wanted in (("train", cfg.n_train), ("valid", cfg.n_valid), ("test", cfg.n_test)):
@@ -455,7 +467,7 @@ def build(
         for shard_index, start in enumerate(range(0, n_wanted, cfg.shard_size)):
             chunk = assignments[start : start + cfg.shard_size]
             path = out_dir / f"{split}-{shard_index:05d}.jsonl"
-            jobs.append((corpus, cfg, schedule, split, start, chunk, path))
+            jobs.append((corpus, cfg, schedule, split, start, chunk, path, mips_codes))
 
     if workers == 1 or len(jobs) <= 1:
         results = [_shard_job(job) for job in jobs]
@@ -510,7 +522,7 @@ def stats(shard_paths: Iterable[str | Path], seg: Segmenter | None = None) -> di
     seg = seg or Segmenter()
     tally = _Tally()
     for path in shard_paths:
-        with Path(path).open(encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 try:
                     obj = json.loads(line)
@@ -525,7 +537,7 @@ def stats(shard_paths: Iterable[str | Path], seg: Segmenter | None = None) -> di
                     raise ValidationError(
                         f"{path}: line {lineno}: expected a JSON object with string tag, input and target"
                     )
-                tally.add(obj, seg)
+                tally.add(obj["tag"], count_units(obj["input"], seg), count_units(obj["target"], seg))
     return tally.summary()
 
 

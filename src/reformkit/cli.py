@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analysis import breakdown, pretrain_scatter, scatter_tsv
 from .builder import BuildConfig, batch_plan, build, sample_pairs, stats, stats_from_counts
-from .corpus import load_bilingual, load_manifest, load_multiparallel, write_multiparallel
+from .corpus import load_bilingual, load_manifest, load_multiparallel, read_utf8, write_multiparallel
 from .errors import ReformkitError, UsageError, ValidationError
 from .metrics import DirectionScore, ScoreConfig, chrfpp, score, score_direction
 from .schedule import (
@@ -104,7 +104,7 @@ def _emit(data: dict) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return read_utf8(path).splitlines()
 
 
 def _load_corpus(path: str, task: str, fmt: str | None):
@@ -123,7 +123,7 @@ def _cmd_build(args) -> int:
             raise ValidationError(f"unknown preset: {args.preset!r}")
         config.update(PRESETS[args.preset])
     if args.config:
-        loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        loaded = json.loads(read_utf8(args.config))
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
         config.update(loaded)

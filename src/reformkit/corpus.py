@@ -17,9 +17,10 @@ import hashlib
 import json
 import random
 import unicodedata
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from .errors import AlignmentError, UsageError, ValidationError
 
@@ -57,11 +58,14 @@ class BilingualCorpus:
 class MultiParallelCorpus:
     languages: tuple[Language, ...]
     records: tuple[SentenceRecord, ...]
+    # code -> Language, derived from ``languages``
+    _by_code: dict[str, Language] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         codes = [lang.code for lang in self.languages]
         if len(set(codes)) != len(codes):
             raise ValidationError("duplicate language codes in corpus")
+        object.__setattr__(self, "_by_code", {lang.code: lang for lang in self.languages})
         for rec in self.records:
             for code in codes:
                 if not rec.texts.get(code):
@@ -75,10 +79,10 @@ class MultiParallelCorpus:
         return tuple(lang.code for lang in self.languages)
 
     def language(self, code: str) -> Language:
-        for lang in self.languages:
-            if lang.code == code:
-                return lang
-        raise ValidationError(f"unknown language: {code}")
+        try:
+            return self._by_code[code]
+        except KeyError:
+            raise ValidationError(f"unknown language: {code}") from None
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,36 @@ class TranslationExample:
             raise ValidationError("source and target language must differ")
         if not self.source_text or not self.target_text:
             raise ValidationError("example texts must be nonempty")
+
+
+def _utf8_error(path: str | Path) -> ValidationError:
+    """The error for a file that does not decode as UTF-8: it names the
+    first line that does not."""
+    with Path(path).open("rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return ValidationError(f"{path}: line {lineno}: not valid UTF-8")
+    return ValidationError(f"{path}: not valid UTF-8")
+
+
+def read_utf8(path: str | Path) -> str:
+    """``Path.read_text`` in UTF-8, failing with a ValidationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
+
+
+@contextmanager
+def open_utf8(path: str | Path) -> Iterator[TextIO]:
+    """``Path.open`` in UTF-8 for reading, failing with a ValidationError."""
+    try:
+        with Path(path).open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _utf8_error(path) from None
 
 
 def _clean(raw: str) -> str:
@@ -112,7 +146,7 @@ def load_bilingual(
         raise UsageError(f"unknown bilingual format: {fmt!r}")
     pairs: list[tuple[str, str]] = []
     bad: list[str] = []
-    with path.open(encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if fmt == "tsv":
@@ -162,7 +196,7 @@ def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None
 
 def load_manifest(path: str | Path) -> list[Language]:
     """Read a JSON array of {"code", "in_pretrain", "pretrain_size"}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = json.loads(read_utf8(path))
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{path}: manifest must be a nonempty JSON array")
     langs = []
@@ -212,7 +246,7 @@ def load_multiparallel(
         lang_file = directory / f"{lang.code}.txt"
         if not lang_file.exists():
             raise ValidationError(f"missing language file: {lang_file}")
-        lines = lang_file.read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(lang_file).splitlines()
         texts = []
         for lineno, raw in enumerate(lines, 1):
             text = _clean(raw)

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import read_utf8
 from .errors import UsageError, ValidationError
 
 KIND_UNICODE_WORDS = "unicode_words"
@@ -42,6 +43,13 @@ _UNIT_PATTERNS = {
     KIND_UNICODE_WORDS: re.compile(r"[\s་༌]*([^\s་༌]+)[\s་༌]*"),
     KIND_WHITESPACE: re.compile(r"\s*(\S+)\s*"),
     KIND_CODEPOINTS: re.compile(r"(.)", re.DOTALL),
+}
+
+# The word cores alone: one match per unit, for counting without offsets.
+# A codepoint is its own core, so that kind counts with len().
+_CORE_PATTERNS = {
+    KIND_UNICODE_WORDS: re.compile(r"[^\s་༌]+"),
+    KIND_WHITESPACE: re.compile(r"\S+"),
 }
 
 
@@ -93,13 +101,18 @@ def take_suffix(segmentation: Segmentation, k: int) -> str:
 
 
 def count_units(s: str, seg: Segmenter | None = None) -> int:
-    return len(segment(s, seg).units)
+    """``len(segment(s, seg).units)``, without building the offsets: a
+    nonempty separator-only string is one unit."""
+    kind = seg.kind if seg is not None else KIND_UNICODE_WORDS
+    if kind == KIND_CODEPOINTS:
+        return len(s)
+    return len(_CORE_PATTERNS[kind].findall(s)) or (1 if s else 0)
 
 
 def read_sidecar_counts(path: str | Path) -> list[int]:
     """Read one integer per line, aligned with corpus line numbers."""
     counts: list[int] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
         value = raw.strip()
         if not value:
             raise ValidationError(f"{path}: line {lineno}: empty count")

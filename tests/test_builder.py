@@ -19,7 +19,7 @@ from reformkit.builder import (
     stats,
     stats_from_counts,
 )
-from reformkit.corpus import Language, MultiParallelCorpus, SentenceRecord
+from reformkit.corpus import BilingualCorpus, Language, MultiParallelCorpus, SentenceRecord
 from reformkit.errors import ValidationError
 from reformkit.schedule import mix, window_first
 from reformkit.synth import synth_bilingual, synth_multiparallel
@@ -367,22 +367,35 @@ def test_manifest_counts_match_shard_recount(tmp_path):
 
 
 def test_stats_equals_manifest_stats(tmp_path):
-    # an even example count makes both medians average two middle values
-    inputs = (
-        ("pose", synth_bilingual(300, seed=6)),
-        ("parse", synth_multiparallel(6, 100, seed=6)),
+    # The manifest reuses the unit count the truncation loop ends on, or
+    # counts a masked input again; stats counts every shard line from text.
+    # An even example count makes both medians average two middle values.
+    multi = synth_multiparallel(6, 100, seed=6)
+    # Tibetan source words are tsheg-delimited, one whitespace unit per
+    # sentence, so the whitespace builds take a space-delimited source
+    eng, l01 = multi.codes[:2]
+    spaced = BilingualCorpus(
+        multi.languages[0],
+        multi.languages[1],
+        tuple((rec.texts[eng], rec.texts[l01]) for rec in multi.records) * 3,
     )
-    for reform, corpus in inputs:
-        task = "bilingual" if reform == "pose" else "multiparallel"
-        cfg = BuildConfig(
-            task=task, reform=reform, n_train=400, batch_size=100, seed=5,
-            max_len=12, shard_size=150,
-        )
-        split = build(corpus, cfg, tmp_path / reform).splits["train"]
-        report = stats(sorted((tmp_path / reform).glob("train-*.jsonl")))
-        assert report == {
-            key: split[key] for key in ("n_examples", "tags", "input_length", "target_length")
-        }
+    tibetan = synth_bilingual(300, seed=6)
+    for kind, max_len, bilingual in (
+        ("unicode_words", 6, tibetan), ("whitespace", 6, spaced), ("codepoints", 40, tibetan)
+    ):
+        for reform in REFORM_KINDS:
+            task = "multiparallel" if reform in ("parse", "mips") else "bilingual"
+            cfg = BuildConfig(
+                task=task, reform=reform, n_train=400, batch_size=100, seed=5,
+                max_len=max_len, shard_size=150, seg=Segmenter(kind),
+            )
+            out = tmp_path / f"{kind}-{reform}"
+            split = build(multi if task == "multiparallel" else bilingual, cfg, out).splits["train"]
+            assert split["truncated"] > 0, (kind, reform)
+            report = stats(sorted(out.glob("train-*.jsonl")), Segmenter(kind))
+            assert report == {
+                key: split[key] for key in ("n_examples", "tags", "input_length", "target_length")
+            }, (kind, reform)
 
 
 def test_rebuild_leaves_only_the_new_shards(tmp_path):
@@ -544,3 +557,47 @@ def test_shard_digests_are_pinned(tmp_path):
         "valid": ["75d4f479ecd98062f021748723514cc459d7447d86c260e50495d18244afab6c"],
         "test": ["c8a32f50c813b433e172770b175c1a3ed5896cc5c66a033bfcac07c7f0164c93"],
     }
+
+
+# The same, for the segmenters other than the default, on the reforms that
+# segment: the pose and prefix_suffix scaffolds, truncation and masking.
+_PINNED_SEGMENTER_SHARDS = {
+    ("whitespace", "pose", 256): "8a115874c5cf397d676464623fa77d4721058ee257e4e85b96a54541eb88b730",
+    ("whitespace", "pose", 8): "d4de739514ee2285f16d324b507c3cc6f644a65a6e25b38fbe90ee6dd0d96278",
+    ("whitespace", "prefix_suffix", 256): "a683ecf95df211bdf5a5914c2c120d528948307441d8aff36aa6aab926545f5c",
+    ("whitespace", "prefix_suffix", 8): "2ed935b8ec8479db53167926f779113fd9658580c8c9ecf03176b2237195280b",
+    ("whitespace", "mask4", 256): "0c020e0ddae6085d73be0ff40dff74cac4388c1106cb5e78cf4d65730f5d97a4",
+    ("whitespace", "mask4", 8): "0c020e0ddae6085d73be0ff40dff74cac4388c1106cb5e78cf4d65730f5d97a4",
+    ("codepoints", "pose", 256): "804cc3ad94a34bb799c177396cedca2f9c0a0955d5bd2e06901d0716a1386772",
+    ("codepoints", "pose", 8): "6602149baffbddf639b6cb5fdb5f790d11d47da17e5a27bd807861198ddb0604",
+    ("codepoints", "prefix_suffix", 256): "6cad7b249ee81273c8e384eebbe357d8952408c0065b7500d3e5516898c05dac",
+    ("codepoints", "prefix_suffix", 8): "907f5c4409e9b19d869fbcd875ecc82e330ec0b4b06ea057a6c87cf3d632bd01",
+    ("codepoints", "mask4", 256): "025d631c6f9817534dab00c0f44af8ca1bcc250c2352352525396db5a5f1c252",
+    ("codepoints", "mask4", 8): "4a0e95b950d3e932ae560a3a84714b3a8623492145a2da13324de1ece0bd9143",
+}
+
+
+def test_shard_digests_are_pinned_for_other_segmenters(tmp_path):
+    # the Tibetan source is one whitespace unit, so whitespace mask4 input
+    # fits in 8 units and its two builds write the same bytes
+    bilingual = synth_bilingual(60, seed=3)
+    got = {}
+    for kind, reform, max_len in _PINNED_SEGMENTER_SHARDS:
+        cfg = BuildConfig(
+            task="bilingual", reform=reform, n_train=120, batch_size=20, seed=4,
+            max_len=max_len, seg=Segmenter(kind),
+        )
+        manifest = build(bilingual, cfg, tmp_path / f"{kind}-{reform}-{max_len}")
+        (shard,) = manifest.splits["train"]["shards"]
+        got[kind, reform, max_len] = shard["sha256"]
+    assert got == _PINNED_SEGMENTER_SHARDS
+
+
+def test_mips_digest_is_pinned_with_unsorted_language_order(tmp_path):
+    # mips draws its extra languages from the sorted codes, whatever order
+    # the corpus lists its languages in
+    multi = synth_multiparallel(6, 40, seed=3)
+    reordered = MultiParallelCorpus(tuple(reversed(multi.languages)), multi.records)
+    cfg = BuildConfig(task="multiparallel", reform="mips", n_train=120, batch_size=20, seed=4)
+    (shard,) = build(reordered, cfg, tmp_path).splits["train"]["shards"]
+    assert shard["sha256"] == "f7c5410adfdfcf5f2242d3806a1f309c79f9d3388695d849486735087f732407"

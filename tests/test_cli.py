@@ -332,6 +332,39 @@ def test_stats_bad_line_exits_1(tmp_path, bad):
     assert err.startswith(f"error: {shard}: line 2:")
 
 
+def _assert_not_utf8_error(result, path, lineno):
+    code, out, err = result
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: line {lineno}: not valid UTF-8\n"
+
+
+def test_stats_non_utf8_line_exits_1(tmp_path):
+    # the bad byte sits far past the first block a text reader decodes
+    shard = tmp_path / "train-00000.jsonl"
+    good = b'{"tag":"baseline","input":"a b","target":"c"}\n'
+    shard.write_bytes(good * 4999 + b'{"tag":"baseline","input":"\xff","target":"c"}\n' + good)
+    _assert_not_utf8_error(run_cli(["stats", str(shard)]), shard, 5000)
+
+
+def test_build_non_utf8_corpus_exits_1(tmp_path):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_bytes(b"a b\tc d\nab\t\xff\n")
+    result = run_cli(
+        ["build", "--corpus", str(corpus), "--out", str(tmp_path / "out"), "--task", "bilingual",
+         "--reform", "none", "--n-train", "1", "--batch-size", "1"]
+    )
+    _assert_not_utf8_error(result, corpus, 2)
+
+
+def test_score_non_utf8_reference_exits_1(tmp_path):
+    hyp = tmp_path / "h.txt"
+    ref = tmp_path / "r.txt"
+    hyp.write_text("a b\nc d\n", encoding="utf-8")
+    ref.write_bytes(b"a b\nc \xff\n")
+    result = run_cli(["score", "--metric", "chrfpp", "--hyp", str(hyp), "--ref", str(ref)])
+    _assert_not_utf8_error(result, ref, 2)
+
+
 def test_missing_frac_exits_2():
     code, _, err = run_cli(["schedule", "--kind", "mix", "--steps", "100", "--dump"])
     assert code == 2

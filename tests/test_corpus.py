@@ -146,6 +146,25 @@ def test_multiparallel_empty_line_is_hard_error(tmp_path):
         load_multiparallel(tmp_path)
 
 
+def test_multiparallel_non_utf8_names_file_and_line(tmp_path):
+    _toy_multi(tmp_path)
+    target = tmp_path / "bbb_Latn.txt"
+    lines = target.read_bytes().splitlines(keepends=True)
+    lines[6] = b"bbb \xe0\x80 sentence\n"
+    target.write_bytes(b"".join(lines))
+    with pytest.raises(ValidationError, match=f"{target}: line 7: not valid UTF-8"):
+        load_multiparallel(tmp_path)
+
+
+def test_language_lookup_is_not_part_of_equality_or_repr(tmp_path):
+    corpus = load_multiparallel(_toy_multi(tmp_path))
+    same = MultiParallelCorpus(corpus.languages, corpus.records)
+    assert same == corpus and repr(same) == repr(corpus)
+    assert "_by_code" not in repr(corpus)
+    with pytest.raises(ValidationError, match="unknown language: zzz"):
+        corpus.language("zzz")
+
+
 def test_multiparallel_round_trip(tmp_path):
     src_dir = tmp_path / "a"
     src_dir.mkdir()

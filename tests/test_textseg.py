@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import statistics
 
@@ -12,6 +13,7 @@ from reformkit.errors import UsageError, ValidationError
 from reformkit.textseg import (
     KIND_CODEPOINTS,
     KIND_WHITESPACE,
+    SEGMENTER_KINDS,
     Segmenter,
     count_units,
     read_sidecar_counts,
@@ -99,6 +101,33 @@ def test_take_suffix():
 def test_count_units_basics():
     assert count_units("a b c") == 3
     assert count_units("  padded   words  ") == 2
+
+
+# Word characters and every kind of separator: Unicode whitespace (tab,
+# newline, NBSP, ideographic space) and the two tsheg marks, which only
+# unicode_words treats as separators.
+_COUNT_ALPHABET = "abcXYZé\u0f40\u0f0b\u0f0c \t\n\u00a0\u3000"
+_SEPARATORS = " \t\n\u00a0\u3000\u0f0b\u0f0c"
+
+
+@pytest.mark.parametrize("kind", SEGMENTER_KINDS)
+def test_count_units_equals_segment_unit_count(kind):
+    seg = Segmenter(kind)
+    rng = random.Random(f"count_units:{kind}")
+    texts = ["", " ", "\u0f0b", "\u3000\t\u00a0\n"]
+    texts += ["".join(rng.choices(_SEPARATORS, k=rng.randint(1, 6))) for _ in range(1_000)]
+    texts += [
+        "".join(rng.choices(_COUNT_ALPHABET, k=rng.randint(0, 24))) for _ in range(100_000)
+    ]
+    for s in texts:
+        assert count_units(s, seg) == len(segment(s, seg).units), (kind, s)
+
+
+def test_separator_only_string_is_one_unit():
+    assert count_units(" \u0f0b\u3000") == len(segment(" \u0f0b\u3000").units) == 1
+    assert count_units("\u0f0b\u0f0c", Segmenter(KIND_WHITESPACE)) == 1  # tsheg is a word here
+    assert count_units(" \n", Segmenter(KIND_WHITESPACE)) == 1
+    assert count_units(" \n", Segmenter(KIND_CODEPOINTS)) == 2
 
 
 def test_mean_median_against_recount():
