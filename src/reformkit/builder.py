@@ -42,7 +42,16 @@ from .reformulate import (
     prefix_suffix,
     span_mask,
 )
-from .schedule import MASK_PRESETS, SchedulePolicy, mask_preset, mix, policy_at, policy_from_dict, policy_to_dict
+from .schedule import (
+    MASK_PRESETS,
+    SchedulePolicy,
+    cast_scalar,
+    mask_preset,
+    mix,
+    policy_at,
+    policy_from_dict,
+    policy_to_dict,
+)
 from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_prefix
 
 REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_PRESETS)
@@ -50,8 +59,6 @@ REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_P
 _SPLITS = ("train", "valid", "test")
 _SHARD_NAME = re.compile(r"(train|valid|test)-[0-9]{5,}\.jsonl")
 
-# Field annotations (strings under postponed evaluation) that from_dict casts.
-_SCALAR_CASTS = {"int": int, "float": float}
 _NESTED = {"fmt": ScaffoldFormat, "seg": Segmenter}
 
 
@@ -149,9 +156,10 @@ class BuildConfig:
                 if f.name in _NESTED:
                     value = _NESTED[f.name](**{k: v for k, v in dict(value).items() if v is not None})
                 elif f.name == "split_fracs":
-                    value = tuple(float(x) for x in value)
-                elif f.type in _SCALAR_CASTS:
-                    value = _SCALAR_CASTS[f.type](value)
+                    value = tuple(cast_scalar(f.name, "float", x) for x in value)
+                else:
+                    # annotations are strings under postponed evaluation
+                    value = cast_scalar(f.name, f.type, value)
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"config key {f.name}: {exc}") from exc
             kwargs[f.name] = value
@@ -378,8 +386,16 @@ class _Tally:
         }
 
 
-def _shard_job(args) -> tuple[dict, _Tally]:
-    corpus, cfg, schedule, split, start, assignments, out_path, mips_codes = args
+def _shard_job(
+    corpus,
+    cfg: BuildConfig,
+    schedule: SchedulePolicy | None,
+    mips_codes: Sequence[str],
+    split: str,
+    start: int,
+    assignments: Sequence[tuple[int, str, str]],
+    out_path: Path,
+) -> tuple[dict, _Tally]:
     tally = _Tally()
     lines = []
     for offset, assignment in enumerate(assignments):
@@ -399,6 +415,21 @@ def _shard_job(args) -> tuple[dict, _Tally]:
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     return shard, tally
+
+
+# The build-wide leading arguments of ``_shard_job`` in a pool worker process,
+# set once per worker by the pool initializer, so that a job carries only its
+# own (split, start, assignments, out_path).
+_worker_build_args: tuple = ()
+
+
+def _init_worker(*build_args) -> None:
+    global _worker_build_args
+    _worker_build_args = build_args
+
+
+def _worker_shard_job(job: tuple) -> tuple[dict, _Tally]:
+    return _shard_job(*_worker_build_args, *job)
 
 
 def _counter_stats(counter: Counter) -> dict:
@@ -467,27 +498,36 @@ def build(
         for shard_index, start in enumerate(range(0, n_wanted, cfg.shard_size)):
             chunk = assignments[start : start + cfg.shard_size]
             path = out_dir / f"{split}-{shard_index:05d}.jsonl"
-            jobs.append((corpus, cfg, schedule, split, start, chunk, path, mips_codes))
+            jobs.append((split, start, chunk, path))
 
+    build_args = (corpus, cfg, schedule, mips_codes)
     if workers == 1 or len(jobs) <= 1:
-        results = [_shard_job(job) for job in jobs]
+        results = [_shard_job(*build_args, *job) for job in jobs]
+        digest = corpus_digest(corpus)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(_shard_job, jobs, chunksize=1))
+        # Under fork the workers inherit build_args; under spawn or
+        # forkserver each worker unpickles them once, never once per job.
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(jobs)), initializer=_init_worker, initargs=build_args
+        ) as pool_exec:
+            pending = pool_exec.map(_worker_shard_job, jobs)
+            # map has submitted every job: hash while the workers build
+            digest = corpus_digest(corpus)
+            results = list(pending)
 
     splits: dict = {}
     for split in _SPLITS:
         tally = _Tally()
         shards = []
         for job, (shard, shard_tally) in zip(jobs, results):
-            if job[3] == split:
+            if job[0] == split:
                 tally.merge(shard_tally)
                 shards.append(shard)
         splits[split] = {**tally.summary(), "truncated": tally.truncated, "shards": shards}
 
     manifest = BuildManifest(
         config=cfg.to_dict(),
-        corpus_digest=corpus_digest(corpus),
+        corpus_digest=digest,
         splits=splits,
     )
     payload = json.dumps(manifest.as_dict(), sort_keys=True, indent=2) + "\n"

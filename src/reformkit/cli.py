@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, dest="max_len")
     p.add_argument("--shard-size", type=int, dest="shard_size")
     p.add_argument("--pivot")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="shard-writing processes, at most one per shard")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("sample", help="print sampled (sentence_id, src, tgt) draws")

@@ -250,22 +250,32 @@ def policy_to_dict(policy: SchedulePolicy) -> dict:
     return out
 
 
+def cast_scalar(name: str, annotation: str, value):
+    """``value`` checked against the scalar type a config field declares:
+    an int but not a bool for ``int``, any int or float (returned as a float)
+    for ``float``, only a bool for ``bool``. Other annotations pass through."""
+    if annotation == "bool":
+        ok = isinstance(value, bool)
+    elif annotation == "int":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif annotation == "float":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        return value
+    if not ok:
+        article = "an" if annotation == "int" else "a"
+        raise ValidationError(f"{name} must be {article} {annotation}, got {value!r}")
+    return float(value) if annotation == "float" else value
+
+
 def policy_from_dict(data: dict) -> SchedulePolicy:
-    unknown = set(data) - {f.name for f in fields(SchedulePolicy)}
+    declared = {f.name: f.type for f in fields(SchedulePolicy)}
+    unknown = set(data) - set(declared)
     if unknown:
         raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
-    try:
-        kind = data["kind"]
-        total_steps = int(data["total_steps"])
-    except KeyError as exc:
-        raise ValidationError(f"schedule config missing key: {exc}") from exc
+    missing = {"kind", "total_steps"} - set(data)
+    if missing:
+        raise ValidationError(f"schedule config missing keys: {sorted(missing)}")
     return SchedulePolicy(
-        kind=kind,
-        total_steps=total_steps,
-        frac=float(data.get("frac", 0.0)),
-        start_frac=float(data.get("start_frac", 0.0)),
-        end_frac=float(data.get("end_frac", 0.0)),
-        mask_p=float(data.get("mask_p", 0.1)),
-        span=bool(data.get("span", False)),
-        mean_span=int(data.get("mean_span", 3)),
+        **{name: cast_scalar(name, declared[name], value) for name, value in data.items()}
     )

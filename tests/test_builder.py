@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import reformkit.builder
 from reformkit.builder import (
     REFORM_KINDS,
     BuildConfig,
@@ -129,6 +130,46 @@ def test_build_worker_count_does_not_change_bytes(tmp_path):
     build(corpus, cfg, tmp_path / "w1", workers=1)
     build(corpus, cfg, tmp_path / "w2", workers=2)
     assert _shard_bytes(tmp_path / "w1") == _shard_bytes(tmp_path / "w2")
+
+
+def test_pool_does_not_pickle_the_corpus_per_job(tmp_path, monkeypatch):
+    pickled = []
+
+    def counting_reduce_ex(self, protocol):
+        pickled.append(protocol)
+        return object.__reduce_ex__(self, protocol)
+
+    monkeypatch.setattr(MultiParallelCorpus, "__reduce_ex__", counting_reduce_ex)
+    corpus = synth_multiparallel(5, 80, seed=4)
+    cfg = BuildConfig(
+        task="multiparallel", reform="mips", n_train=400, batch_size=100, seed=11, shard_size=100
+    )
+    manifest = build(corpus, cfg, tmp_path, workers=2)
+    assert len(manifest.splits["train"]["shards"]) == 4
+    # workers inherit the corpus under fork; other start methods pickle it
+    # once per worker, never once per job
+    assert len(pickled) <= 2
+
+
+def test_pool_is_capped_at_the_shard_job_count(tmp_path, monkeypatch):
+    # under fork a pool starts all its processes at the first submit, so a
+    # pool larger than the job count would fork copies that never get a job
+    sizes = []
+
+    class RecordingExecutor(reformkit.builder.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(reformkit.builder, "ProcessPoolExecutor", RecordingExecutor)
+    corpus = synth_multiparallel(5, 80, seed=4)
+    cfg = BuildConfig(
+        task="multiparallel", reform="mips", n_train=200, batch_size=100, seed=11, shard_size=100
+    )
+    build(corpus, cfg, tmp_path / "w5", workers=5)
+    build(corpus, cfg, tmp_path / "w1", workers=1)
+    assert sizes == [2]
+    assert _shard_bytes(tmp_path / "w5") == _shard_bytes(tmp_path / "w1")
 
 
 def test_mix_fraction_concentrates(tmp_path):
@@ -488,6 +529,22 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({"task": "bilingual"})
     with pytest.raises(ValidationError, match="n_train"):
         BuildConfig.from_dict({**data, "n_train": "many"})
+    # scalars are checked, not coerced: an int field takes no float or bool,
+    # a float field no bool, and span only a bool
+    with pytest.raises(ValidationError, match="n_train must be an int"):
+        BuildConfig.from_dict({**data, "n_train": 100.7})
+    with pytest.raises(ValidationError, match="batch_size must be an int"):
+        BuildConfig.from_dict({**data, "batch_size": True})
+    with pytest.raises(ValidationError, match="front_share must be a float"):
+        BuildConfig.from_dict({**data, "front_share": False})
+    with pytest.raises(ValidationError, match="split_fracs must be a float"):
+        BuildConfig.from_dict({**data, "split_fracs": ["0.8", 0.1, 0.1]})
+    mask = {"kind": "mask_window", "start_frac": 0.0, "end_frac": 1.0, "mask_p": 0.1, "mean_span": 3}
+    with pytest.raises(ValidationError, match="span must be a bool"):
+        BuildConfig.from_dict({**data, "schedule": {**mask, "span": "false"}})
+    assert BuildConfig.from_dict({**data, "schedule": {**mask, "span": False}}).schedule.span is False
+    # an int is a number for a float field, and is stored as a float
+    assert type(BuildConfig.from_dict({**data, "front_share": 1}).front_share) is float
     # checked before the schedule's step count divides by it
     with pytest.raises(ValidationError, match="batch_size must be >= 1"):
         BuildConfig.from_dict({**data, "batch_size": 0})

@@ -407,7 +407,7 @@ def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):
     assert err.startswith("error:") and where in err
 
 
-def run_python(argv, stdout=subprocess.PIPE):
+def run_python(argv, stdout=subprocess.PIPE, timeout=None):
     """Run a child Python on the ``reformkit`` package this process imported.
 
     ``PYTHONPATH`` gets that package's absolute parent directory first, so the
@@ -416,12 +416,44 @@ def run_python(argv, stdout=subprocess.PIPE):
     src = str(Path(reformkit.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in inherited if p]))
-    return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return subprocess.run(
+        argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout
+    )
 
 
 def test_bad_flag_exits_2_via_module():
     proc = run_python([sys.executable, "-m", "reformkit.cli", "schedule", "--steps", "x"])
     assert proc.returncode == 2
+
+
+# A 4-shard mips build with 1, 2 and 9 workers, printing each build's train
+# shard SHA-256 list; argv is the start method and an output directory.
+_START_METHOD_BUILDS = """
+import json, multiprocessing, sys
+from reformkit.builder import BuildConfig, build
+from reformkit.schedule import mix
+from reformkit.synth import synth_multiparallel
+
+multiprocessing.set_start_method(sys.argv[1], force=True)
+corpus = synth_multiparallel(5, 80, seed=4)
+cfg = BuildConfig(task="multiparallel", reform="mips", n_train=400, batch_size=100,
+                  seed=11, schedule=mix(0.8, 4), shard_size=100)
+print(json.dumps([
+    [s["sha256"] for s in build(corpus, cfg, f"{sys.argv[2]}/w{w}", workers=w).splits["train"]["shards"]]
+    for w in (1, 2, 9)
+]))
+"""
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_worker_count_does_not_change_bytes_under_each_start_method(method, tmp_path):
+    # pool workers get the build-wide arguments from the pool initializer:
+    # inherited under fork, pickled once per worker under spawn and forkserver
+    proc = run_python([sys.executable, "-c", _START_METHOD_BUILDS, method, str(tmp_path)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    one, two, nine = json.loads(proc.stdout)
+    assert len(one) == 4
+    assert one == two == nine
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

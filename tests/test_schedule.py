@@ -207,4 +207,16 @@ def test_schedule_validation():
     mask_window(0.0, 1.0, 0.9, 10, span=False, mean_span=1)
     with pytest.raises(ValidationError, match="fraction"):
         policy_from_dict({"kind": "window_first", "total_steps": 10, "fraction": 0.5})
+    with pytest.raises(ValidationError, match="missing"):
+        policy_from_dict({"kind": "mix", "frac": 0.5})
+    # bool("false") is true: span takes only a bool
+    with pytest.raises(ValidationError, match="span must be a bool"):
+        policy_from_dict({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "span": "false"})
+    with pytest.raises(ValidationError, match="total_steps must be an int"):
+        policy_from_dict({"kind": "mix", "total_steps": 10.5, "frac": 0.5})
+    with pytest.raises(ValidationError, match="mean_span must be an int"):
+        policy_from_dict({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "mean_span": True})
+    with pytest.raises(ValidationError, match="frac must be a float"):
+        policy_from_dict({"kind": "mix", "total_steps": 10, "frac": "0.5"})
+    assert type(policy_from_dict({"kind": "mix", "total_steps": 10, "frac": 1}).frac) is float
     assert mask_preset("mask4", 10).mean_span == 3
