@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -263,6 +264,15 @@ def _truncate_parts(
             return joined, parts, truncated, n_units
 
 
+def _draw_aux(rng, codes: Sequence[str], src: str, tgt: str) -> list[str]:
+    """``rng.sample([c for c in codes if c not in (src, tgt)], 2)`` for sorted
+    ``codes``, without building that list: ``sample`` reads only the length
+    and items of its population, so it draws the same indices j into it,
+    and j maps past the sorted positions lo < hi of src and tgt."""
+    lo, hi = sorted((bisect_left(codes, src), bisect_left(codes, tgt)))
+    return [codes[j + (j >= lo) + (j >= hi - 1)] for j in rng.sample(range(len(codes) - 2), 2)]
+
+
 def _build_example(
     corpus,
     cfg: BuildConfig,
@@ -311,8 +321,7 @@ def _build_example(
             record, example.source_lang, example.target_lang, corpus.language(cfg.pivot), cfg.fmt
         )
     elif cfg.reform == "mips":
-        candidates = [code for code in mips_codes if code not in (src_code, tgt_code)]
-        aux_in, aux_out = rng.sample(candidates, 2)
+        aux_in, aux_out = _draw_aux(rng, mips_codes, src_code, tgt_code)
         out = mips_reform(
             record,
             example.source_lang,
@@ -351,8 +360,7 @@ def _build_example(
     return {"input": input_text, "target": out.target_text, "tag": tag, "meta": meta}, input_units
 
 
-def _encode_example(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 @dataclass
@@ -404,7 +412,7 @@ def _shard_job(
         )
         tally.add(obj["tag"], input_units, count_units(obj["target"], cfg.seg))
         tally.truncated += obj["meta"]["truncated"]
-        lines.append(_encode_example(obj))
+        lines.append(_ENCODER.encode(obj) + "\n")
     payload = "".join(lines).encode("utf-8")
     tmp_path = out_path.with_name(out_path.name + ".tmp")
     tmp_path.write_bytes(payload)

@@ -168,6 +168,11 @@ def load_bilingual(
                 if not isinstance(src, str) or not isinstance(tgt, str):
                     bad.append(f"line {lineno}: source/target must be strings")
                     continue
+                try:  # an escaped lone surrogate decodes but cannot be written
+                    src.encode("utf-8"), tgt.encode("utf-8")
+                except UnicodeEncodeError:
+                    bad.append(f"line {lineno}: source/target is not valid UTF-8 text")
+                    continue
             src, tgt = _clean(src), _clean(tgt)
             if not src or not tgt:
                 bad.append(f"line {lineno}: empty source or target after trimming")
@@ -353,7 +358,17 @@ def example_from_record(
 
 
 def corpus_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
-    """Stable SHA-256 over corpus content, independent of load path."""
+    """Stable SHA-256 over corpus content, independent of load path. Corpora
+    are immutable values, so it is computed once per corpus object and kept
+    on it outside the dataclass fields, out of ``==`` and ``repr``."""
+    digest = getattr(corpus, "_digest", None)
+    if digest is None:
+        digest = _content_digest(corpus)
+        object.__setattr__(corpus, "_digest", digest)
+    return digest
+
+
+def _content_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
     hasher = hashlib.sha256()
     if isinstance(corpus, BilingualCorpus):
         hasher.update(b"bilingual\x00")

@@ -45,13 +45,6 @@ _UNIT_PATTERNS = {
     KIND_CODEPOINTS: re.compile(r"(.)", re.DOTALL),
 }
 
-# The word cores alone: one match per unit, for counting without offsets.
-# A codepoint is its own core, so that kind counts with len().
-_CORE_PATTERNS = {
-    KIND_UNICODE_WORDS: re.compile(r"[^\s་༌]+"),
-    KIND_WHITESPACE: re.compile(r"\S+"),
-}
-
 
 @dataclass(frozen=True)
 class Segmentation:
@@ -102,11 +95,15 @@ def take_suffix(segmentation: Segmentation, k: int) -> str:
 
 def count_units(s: str, seg: Segmenter | None = None) -> int:
     """``len(segment(s, seg).units)``, without building the offsets: a
-    nonempty separator-only string is one unit."""
+    nonempty separator-only string is one unit. ``str.split`` finds the
+    word cores because ``str.isspace`` holds on exactly the code points
+    that ``\\s`` matches."""
     kind = seg.kind if seg is not None else KIND_UNICODE_WORDS
     if kind == KIND_CODEPOINTS:
         return len(s)
-    return len(_CORE_PATTERNS[kind].findall(s)) or (1 if s else 0)
+    if kind == KIND_UNICODE_WORDS:
+        s = s.replace("\u0f0b", " ").replace("\u0f0c", " ")
+    return len(s.split()) or (1 if s else 0)
 
 
 def read_sidecar_counts(path: str | Path) -> list[int]:

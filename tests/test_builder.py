@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import reformkit.builder
+import reformkit.corpus
 from reformkit.builder import (
     REFORM_KINDS,
     BuildConfig,
@@ -20,7 +22,15 @@ from reformkit.builder import (
     stats,
     stats_from_counts,
 )
-from reformkit.corpus import BilingualCorpus, Language, MultiParallelCorpus, SentenceRecord
+from reformkit.corpus import (
+    BilingualCorpus,
+    Language,
+    MultiParallelCorpus,
+    SentenceRecord,
+    corpus_digest,
+    load_multiparallel,
+    write_multiparallel,
+)
 from reformkit.errors import ValidationError
 from reformkit.schedule import mix, window_first
 from reformkit.synth import synth_bilingual, synth_multiparallel
@@ -170,6 +180,47 @@ def test_pool_is_capped_at_the_shard_job_count(tmp_path, monkeypatch):
     build(corpus, cfg, tmp_path / "w1", workers=1)
     assert sizes == [2]
     assert _shard_bytes(tmp_path / "w5") == _shard_bytes(tmp_path / "w1")
+
+
+def test_corpus_is_hashed_once_per_object(tmp_path, monkeypatch):
+    hashed = []
+    content_digest = reformkit.corpus._content_digest
+    monkeypatch.setattr(
+        reformkit.corpus, "_content_digest", lambda c: hashed.append(c) or content_digest(c)
+    )
+    write_multiparallel(synth_multiparallel(5, 80, seed=4), tmp_path / "corpus")
+    corpus = load_multiparallel(tmp_path / "corpus")
+    fresh = load_multiparallel(tmp_path / "corpus")
+    cfg = BuildConfig(
+        task="multiparallel", reform="mips", n_train=400, batch_size=100, seed=11, shard_size=100
+    )
+    manifests = [
+        build(corpus, cfg, tmp_path / "w2", workers=2),
+        build(corpus, cfg, tmp_path / "w1"),
+        build(corpus, replace(cfg, reform="parse"), tmp_path / "parse"),
+    ]
+    assert hashed == [corpus]
+    digest = manifests[0].corpus_digest
+    assert {m.corpus_digest for m in manifests} == {digest}
+    # the stored digest is no dataclass field: it leaves == and repr alone
+    assert corpus == fresh and repr(corpus) == repr(fresh)
+    # a corpus loaded again or copied by replace is a new object, hashed anew
+    copied = replace(corpus)
+    assert corpus_digest(fresh) == corpus_digest(copied) == digest
+    assert len(hashed) == 3 and hashed[1] is fresh and hashed[2] is copied
+
+
+def test_mips_aux_draw_equals_sampling_the_other_codes():
+    codes = tuple(sorted(synth_multiparallel(7, 1).codes))
+    for seed in range(5):
+        for s in codes:
+            for t in codes:
+                if s == t:
+                    continue
+                rng, want_rng = random.Random(seed), random.Random(seed)
+                want = want_rng.sample([c for c in codes if c not in (s, t)], 2)
+                assert reformkit.builder._draw_aux(rng, codes, s, t) == want, (seed, s, t)
+                assert rng.getstate() == want_rng.getstate()
 
 
 def test_mix_fraction_concentrates(tmp_path):

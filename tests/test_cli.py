@@ -356,6 +356,23 @@ def test_build_non_utf8_corpus_exits_1(tmp_path):
     _assert_not_utf8_error(result, corpus, 2)
 
 
+def test_build_jsonl_lone_surrogate_exits_1(tmp_path):
+    # a JSON escape can name a lone surrogate, which no UTF-8 shard can hold
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(
+        '{"source": "a b", "target": "c d"}\n{"source": "a\\ud800b", "target": "c"}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        ["build", "--corpus", str(corpus), "--corpus-format", "jsonl", "--out", str(tmp_path / "out"),
+         "--task", "bilingual", "--reform", "none", "--n-train", "2", "--batch-size", "1"]
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {corpus}: 1 malformed row(s): line 2: source/target is not valid UTF-8 text\n"
+    )
+
+
 def test_score_non_utf8_reference_exits_1(tmp_path):
     hyp = tmp_path / "h.txt"
     ref = tmp_path / "r.txt"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,6 +122,16 @@ def test_count_units_equals_segment_unit_count(kind):
     ]
     for s in texts:
         assert count_units(s, seg) == len(segment(s, seg).units), (kind, s)
+
+
+def test_isspace_is_regex_whitespace():
+    # count_units splits on str.isspace where segment matches \s, so the
+    # two must agree on every code point; the tsheg marks are neither
+    regex_space = re.compile(r"\s").fullmatch
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        assert c.isspace() == (regex_space(c) is not None), hex(cp)
+    assert not any(c.isspace() for c in "\u0f0b\u0f0c")
 
 
 def test_separator_only_string_is_one_unit():
