@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 from bisect import bisect_left
 from collections import Counter
@@ -273,6 +274,27 @@ def _draw_aux(rng, codes: Sequence[str], src: str, tgt: str) -> list[str]:
     return [codes[j + (j >= lo) + (j >= hi - 1)] for j in rng.sample(range(len(codes) - 2), 2)]
 
 
+class _LazySubstream:
+    """An example's ``_substream``, seeded at its first draw, so an example
+    that draws nothing (a baseline, a fixed prefix law, a mask preset outside
+    its window) skips the seeding. ``random`` lets ``PrefixLaw.draw`` take it;
+    other draws go through ``get``."""
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, seed: int, role: str, index: int) -> None:
+        self._key = (seed, role, index)
+        self._rng: random.Random | None = None
+
+    def get(self) -> random.Random:
+        if self._rng is None:
+            self._rng = _substream(*self._key)
+        return self._rng
+
+    def random(self) -> float:
+        return self.get().random()
+
+
 def _build_example(
     corpus,
     cfg: BuildConfig,
@@ -285,7 +307,7 @@ def _build_example(
     """One example and the unit count of its input. A mips example draws
     its two extra languages from ``mips_codes``, the corpus codes sorted
     once per build."""
-    rng = _substream(cfg.seed, f"example:{split}", index)
+    rng = _LazySubstream(cfg.seed, f"example:{split}", index)
     item_id, src_code, tgt_code = assignment
     if cfg.task == "bilingual":
         source_text, target_text = corpus.pairs[item_id]
@@ -321,7 +343,7 @@ def _build_example(
             record, example.source_lang, example.target_lang, corpus.language(cfg.pivot), cfg.fmt
         )
     elif cfg.reform == "mips":
-        aux_in, aux_out = _draw_aux(rng, mips_codes, src_code, tgt_code)
+        aux_in, aux_out = _draw_aux(rng.get(), mips_codes, src_code, tgt_code)
         out = mips_reform(
             record,
             example.source_lang,
@@ -343,9 +365,9 @@ def _build_example(
         interim = ReformulatedExample(input_text, out.target_text, tag, meta, parts)
         mask_cfg = step_policy.mask
         if mask_cfg.span:
-            masked = span_mask(interim, mask_cfg.p, mask_cfg.mean_span, rng, cfg.seg)
+            masked = span_mask(interim, mask_cfg.p, mask_cfg.mean_span, rng.get(), cfg.seg)
         else:
-            masked = mask_tokens(interim, mask_cfg.p, rng, cfg.seg)
+            masked = mask_tokens(interim, mask_cfg.p, rng.get(), cfg.seg)
         input_text = masked.input_text
         # masking rewrote the input, and a masked span is one unit now
         input_units = count_units(input_text, cfg.seg)

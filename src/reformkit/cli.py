@@ -393,9 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("window_first", "mix"))
     p.add_argument("--frac", type=float)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--at", type=int, help="evaluate at one step (JSON)")
-    p.add_argument("--dump", action="store_true", help="emit a TSV curve")
-    p.add_argument("--resolution", type=int, default=11)
+    p.add_argument("--at", type=int, help="evaluate at one step (JSON); without it, print a TSV curve")
+    p.add_argument("--resolution", type=int, default=11, help="curve rows")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("score", help="score line-aligned hypothesis/reference files")

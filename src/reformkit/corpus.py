@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import struct
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -369,20 +370,37 @@ def corpus_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
 
 
 def _content_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
+    """SHA-256 of a header, then one block per language column: the code, the
+    text count and each text's length in code points (big-endian 8-byte
+    words, so no text content can fake a boundary), then the column's texts
+    joined and encoded at once. One column is joined at a time, never the
+    whole corpus."""
     hasher = hashlib.sha256()
+
+    def add_column(code: str, column: list[str]) -> None:
+        hasher.update(code.encode("utf-8") + b"\x00")
+        hasher.update(struct.pack(f">{len(column) + 1}Q", len(column), *map(len, column)))
+        hasher.update("".join(column).encode("utf-8"))
+
     if isinstance(corpus, BilingualCorpus):
         hasher.update(b"bilingual\x00")
         hasher.update(corpus.source_lang.code.encode("utf-8") + b"\x00")
         hasher.update(corpus.target_lang.code.encode("utf-8") + b"\x00")
-        for src, tgt in corpus.pairs:
-            hasher.update(src.encode("utf-8") + b"\x00" + tgt.encode("utf-8") + b"\x01")
+        add_column(corpus.source_lang.code, [src for src, _ in corpus.pairs])
+        add_column(corpus.target_lang.code, [tgt for _, tgt in corpus.pairs])
     else:
         hasher.update(b"multiparallel\x00")
         for lang in corpus.languages:
             hasher.update(
                 f"{lang.code}|{int(lang.in_pretrain)}|{lang.pretrain_size}".encode("utf-8") + b"\x00"
             )
-        for rec in corpus.records:
-            for code in sorted(rec.texts):
-                hasher.update(code.encode("utf-8") + b"\x00" + rec.texts[code].encode("utf-8") + b"\x01")
+        texts = [rec.texts for rec in corpus.records]
+        keys = list(texts[0]) if texts else []
+        if all(list(t) == keys for t in texts):
+            # the loaders give every record one key order: transpose without lookups
+            columns = dict(zip(keys, zip(*(t.values() for t in texts))))
+        else:
+            columns = {code: [t[code] for t in texts] for code in corpus.codes}
+        for code in sorted(corpus.codes):
+            add_column(code, columns.get(code, ()))
     return hasher.hexdigest()

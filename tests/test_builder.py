@@ -32,7 +32,7 @@ from reformkit.corpus import (
     write_multiparallel,
 )
 from reformkit.errors import ValidationError
-from reformkit.schedule import mix, window_first
+from reformkit.schedule import curriculum1, mix, window_first
 from reformkit.synth import synth_bilingual, synth_multiparallel
 from reformkit.textseg import Segmenter
 
@@ -709,3 +709,26 @@ def test_mips_digest_is_pinned_with_unsorted_language_order(tmp_path):
     cfg = BuildConfig(task="multiparallel", reform="mips", n_train=120, batch_size=20, seed=4)
     (shard,) = build(reordered, cfg, tmp_path).splits["train"]["shards"]
     assert shard["sha256"] == "f7c5410adfdfcf5f2242d3806a1f309c79f9d3388695d849486735087f732407"
+
+
+def test_examples_that_draw_nothing_seed_no_substream(tmp_path, monkeypatch):
+    seeded = Counter()
+    substream = reformkit.builder._substream
+    monkeypatch.setattr(
+        reformkit.builder,
+        "_substream",
+        lambda seed, role, index: seeded.update([role]) or substream(seed, role, index),
+    )
+    corpus = synth_bilingual(600, seed=2)
+    common = dict(task="bilingual", n_train=200, batch_size=10, seed=5, n_valid=30, n_test=30)
+    # pose under curriculum1: every train example uses a fixed prefix
+    # fraction, and valid and test examples are baselines
+    build(corpus, BuildConfig(reform="pose", schedule=curriculum1(1), **common), tmp_path / "pose")
+    assert not {role for role in seeded if role.startswith("example:")}
+    # mask1 masks steps [0, 0.2 T) only: the examples outside its window draw nothing
+    manifest = build(corpus, BuildConfig(reform="mask1", **common), tmp_path / "mask1")
+    assert seeded["example:train"] == manifest.splits["train"]["tags"]["mask"] == 40
+    assert seeded["example:valid"] == seeded["example:test"] == 0
+    # a mix schedule draws its reform coin for every train example
+    build(corpus, BuildConfig(reform="pose", schedule=mix(0.5, 1), **common), tmp_path / "mix")
+    assert seeded["example:train"] == 40 + 200

@@ -183,7 +183,7 @@ def test_schedule_at_matches_policy():
 def test_schedule_dump_tsv():
     code, out, _ = run_cli(
         ["schedule", "--kind", "window_first", "--frac", "0.2", "--steps", "10",
-         "--dump", "--resolution", "11"]
+         "--resolution", "11"]
     )
     assert code == 0
     lines = out.strip().splitlines()
@@ -383,7 +383,7 @@ def test_score_non_utf8_reference_exits_1(tmp_path):
 
 
 def test_missing_frac_exits_2():
-    code, _, err = run_cli(["schedule", "--kind", "mix", "--steps", "100", "--dump"])
+    code, _, err = run_cli(["schedule", "--kind", "mix", "--steps", "100"])
     assert code == 2
     assert "frac" in err
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +23,7 @@ from reformkit.corpus import (
     write_multiparallel,
 )
 from reformkit.errors import AlignmentError, UsageError, ValidationError
+from reformkit.synth import synth_bilingual, synth_multiparallel
 
 
 def _write_tsv(path, rows):
@@ -254,3 +257,117 @@ def test_record_missing_language_rejected():
     langs = (Language("aaa"), Language("bbb"))
     with pytest.raises(AlignmentError, match="bbb"):
         MultiParallelCorpus(langs, (SentenceRecord(0, {"aaa": "x"}),))
+
+
+def _with_texts(corpus, edits):
+    """A copy of a multi-parallel corpus with {(record index, code): text} applied."""
+    records = []
+    for i, rec in enumerate(corpus.records):
+        texts = dict(rec.texts)
+        for (j, code), text in edits.items():
+            if j == i:
+                texts[code] = text
+        records.append(SentenceRecord(rec.id, texts))
+    return MultiParallelCorpus(corpus.languages, tuple(records))
+
+
+def _small_multi():
+    langs = (Language("aaa_Latn"), Language("bbb_Tibt", True, 50), Language("ccc_Hans"))
+    texts = [
+        {"aaa_Latn": "ab c", "bbb_Tibt": "ཁ་བ་", "ccc_Hans": "雪山"},
+        {"aaa_Latn": "de", "bbb_Tibt": "མེ་", "ccc_Hans": "火"},
+        {"aaa_Latn": "fgh", "bbb_Tibt": "ཆུ་", "ccc_Hans": "水"},
+    ]
+    return MultiParallelCorpus(langs, tuple(SentenceRecord(i, t) for i, t in enumerate(texts)))
+
+
+def test_digest_sees_a_character_moved_across_a_text_boundary():
+    corpus = _small_multi()
+    # the column joins to the same string, only the boundary moves
+    moved = _with_texts(corpus, {(0, "aaa_Latn"): "ab", (1, "aaa_Latn"): " cde"})
+    assert "".join(r.texts["aaa_Latn"] for r in moved.records) == "".join(
+        r.texts["aaa_Latn"] for r in corpus.records
+    )
+    assert corpus_digest(moved) != corpus_digest(corpus)
+    pairs = (("ab", "cd"), ("ef", "gh"))
+    bi = BilingualCorpus(Language("src"), Language("tgt"), pairs)
+    for other in (
+        (("a", "bcd"), ("ef", "gh")),  # within a pair, source to target
+        (("ab", "cde"), ("f", "gh")),  # target of one pair to the source of the next
+        (("abe", "cd"), ("f", "gh")),  # source of one pair to the next source
+    ):
+        assert corpus_digest(BilingualCorpus(bi.source_lang, bi.target_lang, other)) != corpus_digest(bi)
+
+
+def test_digest_sees_two_languages_swapping_texts():
+    corpus = _small_multi()
+    swapped = MultiParallelCorpus(
+        corpus.languages,
+        tuple(
+            SentenceRecord(
+                rec.id, {**rec.texts, "aaa_Latn": rec.texts["ccc_Hans"], "ccc_Hans": rec.texts["aaa_Latn"]}
+            )
+            for rec in corpus.records
+        ),
+    )
+    assert corpus_digest(swapped) != corpus_digest(corpus)
+    # one record only
+    one = _with_texts(
+        corpus, {(2, "aaa_Latn"): corpus.records[2].texts["bbb_Tibt"], (2, "bbb_Tibt"): "fgh"}
+    )
+    assert corpus_digest(one) != corpus_digest(corpus)
+    bi = BilingualCorpus(Language("src"), Language("tgt"), (("ab", "cd"), ("ef", "gh")))
+    flipped = BilingualCorpus(bi.source_lang, bi.target_lang, (("cd", "ab"), ("gh", "ef")))
+    assert corpus_digest(flipped) != corpus_digest(bi)
+
+
+def test_digest_sees_any_one_text_changing():
+    corpus = _small_multi()
+    digests = {corpus_digest(corpus)}
+    for i, rec in enumerate(corpus.records):
+        for code, text in rec.texts.items():
+            for changed in (text + "x", text[:-1] or "y", "Z" + text[1:]):
+                digests.add(corpus_digest(_with_texts(corpus, {(i, code): changed})))
+    assert len(digests) == 1 + 3 * 3 * 3
+    bi = BilingualCorpus(Language("src"), Language("tgt"), (("ab", "cd"), ("ef", "gh")))
+    digests = {corpus_digest(bi)}
+    for i in range(2):
+        for side in range(2):
+            pairs = [list(p) for p in bi.pairs]
+            pairs[i][side] += "x"
+            digests.add(corpus_digest(replace(bi, pairs=tuple(map(tuple, pairs)))))
+    assert len(digests) == 5
+
+
+def test_digest_does_not_depend_on_record_key_order():
+    corpus = synth_multiparallel(5, 30, seed=1)
+    reordered = MultiParallelCorpus(
+        corpus.languages,
+        tuple(SentenceRecord(r.id, dict(reversed(r.texts.items()))) for r in corpus.records[:7])
+        + corpus.records[7:],
+    )
+    assert list(reordered.records[0].texts) != list(corpus.records[0].texts)
+    assert corpus_digest(reordered) == corpus_digest(corpus)
+
+
+def test_digest_is_pinned():
+    # the layout spelled out: header, then per column its code, the text
+    # count and code-point lengths as big-endian 8-byte words, and its texts
+    bi = BilingualCorpus(Language("src"), Language("tgt"), (("ab", "cd"), ("éf", "gh")))
+    words = lambda *ns: b"".join(n.to_bytes(8, "big") for n in ns)
+    layout = (
+        b"bilingual\x00src\x00tgt\x00"
+        + b"src\x00" + words(2, 2, 2) + "abéf".encode("utf-8")
+        + b"tgt\x00" + words(2, 2, 2) + b"cdgh"
+    )
+    assert corpus_digest(bi) == hashlib.sha256(layout).hexdigest()
+    empty = MultiParallelCorpus((Language("bbb"), Language("aaa", True, 7)), ())
+    layout = b"multiparallel\x00bbb|0|0\x00aaa|1|7\x00" + b"aaa\x00" + words(0) + b"bbb\x00" + words(0)
+    assert corpus_digest(empty) == hashlib.sha256(layout).hexdigest()
+    # recorded when the digest became one block per language column
+    assert corpus_digest(synth_multiparallel(4, 12, seed=3)) == (
+        "e8e0d4214119f89a86977a45003638be7a7a48feb66e9742eb9627f3e59431f6"
+    )
+    assert corpus_digest(synth_bilingual(12, seed=3)) == (
+        "fbee0aa130be7569ed609482667c47521b3268b3e56de7c8883e2f2411d0e43d"
+    )
