@@ -275,10 +275,11 @@ def _draw_aux(rng, codes: Sequence[str], src: str, tgt: str) -> list[str]:
 
 
 class _LazySubstream:
-    """An example's ``_substream``, seeded at its first draw, so an example
-    that draws nothing (a baseline, a fixed prefix law, a mask preset outside
-    its window) skips the seeding. ``random`` lets ``PrefixLaw.draw`` take it;
-    other draws go through ``get``."""
+    """``rng()`` gives an example's ``_substream``, seeded at the first call,
+    so an example that draws nothing (a baseline, a fixed prefix law, a mask
+    preset outside its window) skips the seeding. A class, not
+    ``functools.cache``, because building that wrapper costs about half the
+    seeding it saves."""
 
     __slots__ = ("_key", "_rng")
 
@@ -286,13 +287,10 @@ class _LazySubstream:
         self._key = (seed, role, index)
         self._rng: random.Random | None = None
 
-    def get(self) -> random.Random:
+    def __call__(self) -> random.Random:
         if self._rng is None:
             self._rng = _substream(*self._key)
         return self._rng
-
-    def random(self) -> float:
-        return self.get().random()
 
 
 def _build_example(
@@ -326,24 +324,24 @@ def _build_example(
         step_policy = policy_at(step, schedule)
         fraction = step_policy.reform_fraction
         if 0.0 < fraction < 1.0:
-            reform_on = rng.random() < fraction
+            reform_on = rng().random() < fraction
         else:
             reform_on = fraction >= 1.0
 
     if not reform_on or cfg.reform == "none":
         out = baseline(example, cfg.fmt)
     elif cfg.reform == "pose":
-        out = pose(example, step_policy.prefix_law.draw(rng), cfg.seg, cfg.fmt)
+        out = pose(example, step_policy.prefix_law.draw_with(rng), cfg.seg, cfg.fmt)
     elif cfg.reform == "prefix_suffix":
         out = prefix_suffix(
-            example, step_policy.prefix_law.draw(rng), cfg.front_share, cfg.seg, cfg.fmt
+            example, step_policy.prefix_law.draw_with(rng), cfg.front_share, cfg.seg, cfg.fmt
         )
     elif cfg.reform == "parse":
         out = parse_reform(
             record, example.source_lang, example.target_lang, corpus.language(cfg.pivot), cfg.fmt
         )
     elif cfg.reform == "mips":
-        aux_in, aux_out = _draw_aux(rng.get(), mips_codes, src_code, tgt_code)
+        aux_in, aux_out = _draw_aux(rng(), mips_codes, src_code, tgt_code)
         out = mips_reform(
             record,
             example.source_lang,
@@ -365,9 +363,9 @@ def _build_example(
         interim = ReformulatedExample(input_text, out.target_text, tag, meta, parts)
         mask_cfg = step_policy.mask
         if mask_cfg.span:
-            masked = span_mask(interim, mask_cfg.p, mask_cfg.mean_span, rng.get(), cfg.seg)
+            masked = span_mask(interim, mask_cfg.p, mask_cfg.mean_span, rng(), cfg.seg)
         else:
-            masked = mask_tokens(interim, mask_cfg.p, rng.get(), cfg.seg)
+            masked = mask_tokens(interim, mask_cfg.p, rng(), cfg.seg)
         input_text = masked.input_text
         # masking rewrote the input, and a masked span is one unit now
         input_units = count_units(input_text, cfg.seg)

@@ -384,8 +384,6 @@ def _content_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
 
     if isinstance(corpus, BilingualCorpus):
         hasher.update(b"bilingual\x00")
-        hasher.update(corpus.source_lang.code.encode("utf-8") + b"\x00")
-        hasher.update(corpus.target_lang.code.encode("utf-8") + b"\x00")
         add_column(corpus.source_lang.code, [src for src, _ in corpus.pairs])
         add_column(corpus.target_lang.code, [tgt for _, tgt in corpus.pairs])
     else:
@@ -395,12 +393,6 @@ def _content_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
                 f"{lang.code}|{int(lang.in_pretrain)}|{lang.pretrain_size}".encode("utf-8") + b"\x00"
             )
         texts = [rec.texts for rec in corpus.records]
-        keys = list(texts[0]) if texts else []
-        if all(list(t) == keys for t in texts):
-            # the loaders give every record one key order: transpose without lookups
-            columns = dict(zip(keys, zip(*(t.values() for t in texts))))
-        else:
-            columns = {code: [t[code] for t in texts] for code in corpus.codes}
         for code in sorted(corpus.codes):
-            add_column(code, columns.get(code, ()))
+            add_column(code, [t[code] for t in texts])
     return hasher.hexdigest()

@@ -9,6 +9,7 @@ excluded from the segment below it.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
@@ -84,10 +85,15 @@ class PrefixLaw:
                 raise ValidationError(f"fixed prefix value {self.value} outside [0, 1]")
 
     def draw(self, rng: random.Random) -> float:
+        return self.draw_with(lambda: rng)
+
+    def draw_with(self, get_rng: Callable[[], random.Random]) -> float:
+        """A prefix fraction. ``get_rng`` gives the generator; a fixed law
+        never calls it."""
         if self.kind == "fixed":
             assert self.value is not None
             return self.value
-        return rng.random()
+        return get_rng().random()
 
 
 UNIFORM01 = PrefixLaw("uniform01")
