@@ -28,7 +28,6 @@ from .corpus import (
     TranslationExample,
     _substream,
     corpus_digest,
-    example_from_record,
     open_utf8,
     partition,
 )
@@ -38,8 +37,8 @@ from .reformulate import (
     ScaffoldFormat,
     baseline,
     mask_tokens,
-    mips_reform,
-    parse_reform,
+    mips_scaffold,
+    parse_scaffold,
     pose,
     prefix_suffix,
     span_mask,
@@ -55,6 +54,11 @@ from .schedule import (
     policy_to_dict,
 )
 from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_prefix
+
+# Not called by the build: perfbench's span tracer wraps these names in this
+# module, so they stay importable from here.
+from .corpus import example_from_record  # noqa: F401
+from .reformulate import mips_reform, parse_reform  # noqa: F401
 
 REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_PRESETS)
 
@@ -312,10 +316,14 @@ def _build_example(
         example = TranslationExample(
             corpus.source_lang, corpus.target_lang, source_text, target_text
         )
-        record = None
     else:
-        record = corpus.records[item_id]
-        example = example_from_record(corpus, record, src_code, tgt_code)
+        example = TranslationExample(
+            corpus.language(src_code),
+            corpus.language(tgt_code),
+            corpus.text(item_id, src_code),
+            corpus.text(item_id, tgt_code),
+            corpus.ids[item_id],
+        )
 
     step = index // cfg.batch_size if split == "train" else None
     step_policy = None
@@ -337,17 +345,17 @@ def _build_example(
             example, step_policy.prefix_law.draw_with(rng), cfg.front_share, cfg.seg, cfg.fmt
         )
     elif cfg.reform == "parse":
-        out = parse_reform(
-            record, example.source_lang, example.target_lang, corpus.language(cfg.pivot), cfg.fmt
+        out = parse_scaffold(
+            example, corpus.language(cfg.pivot), corpus.text(item_id, cfg.pivot), cfg.fmt
         )
     elif cfg.reform == "mips":
         aux_in, aux_out = _draw_aux(rng(), mips_codes, src_code, tgt_code)
-        out = mips_reform(
-            record,
-            example.source_lang,
-            example.target_lang,
+        out = mips_scaffold(
+            example,
             corpus.language(aux_in),
             corpus.language(aux_out),
+            corpus.text(item_id, aux_in),
+            corpus.text(item_id, aux_out),
             cfg.fmt,
         )
     else:  # mask presets scaffold nothing; masking happens below
@@ -571,17 +579,13 @@ def build(
     return manifest
 
 
-def batch_plan(
-    cfg: BuildConfig, reform_active: bool, mean_tokens_per_example: float | None = None
-) -> tuple[int, float | None]:
+def batch_plan(cfg: BuildConfig, reform_active: bool) -> int:
     """Examples per optimizer step, halved when a parallel-scaffold
-    reformulation doubles per-example content; optionally a token estimate."""
+    reformulation doubles per-example content."""
     halve = cfg.reform in ("parse", "mips") and reform_active
     if halve and cfg.batch_size % 2 != 0:
         raise ValidationError("batch_size must be even to halve for parse/mips")
-    examples = cfg.batch_size // 2 if halve else cfg.batch_size
-    tokens = None if mean_tokens_per_example is None else examples * mean_tokens_per_example
-    return examples, tokens
+    return cfg.batch_size // 2 if halve else cfg.batch_size
 
 
 def stats(shard_paths: Iterable[str | Path], seg: Segmenter | None = None) -> dict:

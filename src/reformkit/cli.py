@@ -302,7 +302,7 @@ def _smoke_builds(corpus, seed: int, out: Path) -> dict:
         manifest = build(corpus, cfg, out / name)
         summary[name] = {
             "tags": manifest.splits["train"]["tags"],
-            "examples_per_step": batch_plan(cfg, reform_active=reform in ("parse", "mips"))[0],
+            "examples_per_step": batch_plan(cfg, reform_active=reform in ("parse", "mips")),
         }
     return summary
 
@@ -346,7 +346,7 @@ def _cmd_smoke(args) -> int:
     _emit(
         {
             "out": str(out),
-            "corpus": {"languages": len(corpus.languages), "records": len(corpus.records)},
+            "corpus": {"languages": len(corpus.languages), "records": len(corpus)},
             "builds": builds,
             "copy_chrfpp": copy_score,
             "breakdown_avg": report.avg.value,

@@ -18,10 +18,14 @@ import json
 import random
 import struct
 import unicodedata
+from array import array
+from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import sub
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import AlignmentError, UsageError, ValidationError
 
@@ -55,35 +59,109 @@ class BilingualCorpus:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
+def _column(texts: Sequence[str]) -> tuple[str, array]:
+    """One language column: the texts joined, and the code-point offset of
+    each text's start plus the end of the last."""
+    return "".join(texts), array("q", accumulate(map(len, texts), initial=0))
+
+
+@dataclass(frozen=True, init=False)
 class MultiParallelCorpus:
+    """Aligned texts stored as one column per language: ``columns`` maps a
+    code to its texts joined into one ``str`` and an ``array('q')`` of their
+    code-point offsets, and ``ids`` holds the record ids by position. A text
+    is read by slicing its column, so no object exists per text. Under
+    ``fork`` a build worker then reads the parent's pages without writing a
+    reference count into each, and the corpus takes about the size of its
+    text in memory.
+
+    ``MultiParallelCorpus(languages, records)`` packs ``SentenceRecord``s
+    into columns, keeping only the texts of the corpus languages; ``ids``
+    and ``columns`` instead give the columns directly.
+    """
+
     languages: tuple[Language, ...]
-    records: tuple[SentenceRecord, ...]
+    ids: array = field(repr=False)
+    columns: dict[str, tuple[str, array]] = field(repr=False)
     # code -> Language, derived from ``languages``
     _by_code: dict[str, Language] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        codes = [lang.code for lang in self.languages]
+    def __init__(
+        self,
+        languages: Sequence[Language],
+        records: Iterable[SentenceRecord] = (),
+        *,
+        ids: array | None = None,
+        columns: dict[str, tuple[str, array]] | None = None,
+    ) -> None:
+        languages = tuple(languages)
+        codes = [lang.code for lang in languages]
         if len(set(codes)) != len(codes):
             raise ValidationError("duplicate language codes in corpus")
-        object.__setattr__(self, "_by_code", {lang.code: lang for lang in self.languages})
-        for rec in self.records:
-            for code in codes:
-                if not rec.texts.get(code):
-                    raise AlignmentError(f"record {rec.id}: missing text for language {code}")
+        if columns is None:
+            ids = array("q")
+            texts: dict[str, list[str]] = {code: [] for code in codes}
+            for rec in records:
+                ids.append(rec.id)
+                for code in codes:
+                    text = rec.texts.get(code)
+                    if not text:
+                        raise AlignmentError(f"record {rec.id}: missing text for language {code}")
+                    texts[code].append(text)
+            columns = {code: _column(texts[code]) for code in codes}
+        elif ids is None or set(columns) != set(codes):
+            raise ValidationError("columns need ids and one column per corpus language")
+        object.__setattr__(self, "languages", languages)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_by_code", {lang.code: lang for lang in languages})
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     @property
     def codes(self) -> tuple[str, ...]:
         return tuple(lang.code for lang in self.languages)
+
+    @property
+    def records(self) -> Sequence[SentenceRecord]:
+        """A read-only sequence that builds each ``SentenceRecord`` when
+        indexed. The build path reads texts with ``text`` instead."""
+        return _Records(self)
 
     def language(self, code: str) -> Language:
         try:
             return self._by_code[code]
         except KeyError:
             raise ValidationError(f"unknown language: {code}") from None
+
+    def text(self, index: int, code: str) -> str:
+        """The text in language ``code`` of the record at position ``index``
+        (``0 <= index < len(self)``)."""
+        try:
+            column, offsets = self.columns[code]
+        except KeyError:
+            raise ValidationError(f"unknown language: {code}") from None
+        return column[offsets[index] : offsets[index + 1]]
+
+
+class _Records(SequenceABC):
+    """``MultiParallelCorpus.records``: builds each record from the columns."""
+
+    __slots__ = ("_corpus",)
+
+    def __init__(self, corpus: MultiParallelCorpus) -> None:
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self._corpus)
+
+    def __getitem__(self, index: int) -> SentenceRecord:
+        corpus = self._corpus
+        index = range(len(corpus))[index]  # negative indices and IndexError
+        return SentenceRecord(
+            corpus.ids[index], {code: corpus.text(index, code) for code in corpus.codes}
+        )
 
 
 @dataclass(frozen=True)
@@ -201,7 +279,10 @@ def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None
 
 
 def load_manifest(path: str | Path) -> list[Language]:
-    """Read a JSON array of {"code", "in_pretrain", "pretrain_size"}."""
+    """Read a JSON array of {"code", "in_pretrain", "pretrain_size"}: a
+    nonempty string, a bool and an int (not a bool)."""
+    from .schedule import cast_scalar  # schedule imports this module
+
     data = json.loads(read_utf8(path))
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{path}: manifest must be a nonempty JSON array")
@@ -209,17 +290,15 @@ def load_manifest(path: str | Path) -> list[Language]:
     for index, entry in enumerate(data):
         if not isinstance(entry, dict) or "code" not in entry:
             raise ValidationError(f'{path}: entry {index}: expected an object with a "code" key')
+        code = entry["code"]
+        if not isinstance(code, str) or not code:
+            raise ValidationError(f"{path}: entry {index}: code must be a nonempty string, got {code!r}")
         try:
-            pretrain_size = int(entry.get("pretrain_size", 0))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: entry {index}: pretrain_size is not an integer") from exc
-        langs.append(
-            Language(
-                code=entry["code"],
-                in_pretrain=bool(entry.get("in_pretrain", False)),
-                pretrain_size=pretrain_size,
-            )
-        )
+            in_pretrain = cast_scalar("in_pretrain", "bool", entry.get("in_pretrain", False))
+            pretrain_size = cast_scalar("pretrain_size", "int", entry.get("pretrain_size", 0))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: entry {index}: {exc}") from None
+        langs.append(Language(code, in_pretrain, pretrain_size))
     return langs
 
 
@@ -245,20 +324,16 @@ def load_multiparallel(
         languages = load_manifest(manifest_path)
     langs = tuple(languages)
 
-    columns: dict[str, list[str]] = {}
+    columns: dict[str, tuple[str, array]] = {}
     expected: int | None = None
     expected_from = ""
     for lang in langs:
         lang_file = directory / f"{lang.code}.txt"
         if not lang_file.exists():
             raise ValidationError(f"missing language file: {lang_file}")
-        lines = read_utf8(lang_file).splitlines()
-        texts = []
-        for lineno, raw in enumerate(lines, 1):
-            text = _clean(raw)
-            if not text:
-                raise ValidationError(f"{lang_file}: line {lineno}: empty sentence")
-            texts.append(text)
+        texts = [_clean(raw) for raw in read_utf8(lang_file).splitlines()]
+        if not all(texts):
+            raise ValidationError(f"{lang_file}: line {texts.index('') + 1}: empty sentence")
         if expected is None:
             expected = len(texts)
             expected_from = lang.code
@@ -267,14 +342,11 @@ def load_multiparallel(
                 f"language {lang.code} has {len(texts)} sentences, "
                 f"expected {expected} (from {expected_from})"
             )
-        columns[lang.code] = texts
+        # joined while read, so only one language's texts are objects at once
+        columns[lang.code] = _column(texts)
 
     assert expected is not None
-    records = tuple(
-        SentenceRecord(id=i, texts={lang.code: columns[lang.code][i] for lang in langs})
-        for i in range(expected)
-    )
-    return MultiParallelCorpus(languages=langs, records=records)
+    return MultiParallelCorpus(langs, ids=array("q", range(expected)), columns=columns)
 
 
 def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> None:
@@ -288,7 +360,7 @@ def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> N
         json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
     for lang in corpus.languages:
-        lines = "".join(rec.texts[lang.code] + "\n" for rec in corpus.records)
+        lines = "".join(corpus.text(i, lang.code) + "\n" for i in range(len(corpus)))
         (directory / f"{lang.code}.txt").write_text(lines, encoding="utf-8", newline="\n")
 
 
@@ -334,10 +406,8 @@ def split(
     return tuple(
         MultiParallelCorpus(
             corpus.languages,
-            tuple(
-                SentenceRecord(id=new_id, texts=dict(corpus.records[i].texts))
-                for new_id, i in enumerate(idx)
-            ),
+            ids=array("q", range(len(idx))),
+            columns={code: _column([corpus.text(i, code) for i in idx]) for code in corpus.codes},
         )
         for idx in picks
     )
@@ -373,26 +443,26 @@ def _content_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
     """SHA-256 of a header, then one block per language column: the code, the
     text count and each text's length in code points (big-endian 8-byte
     words, so no text content can fake a boundary), then the column's texts
-    joined and encoded at once. One column is joined at a time, never the
-    whole corpus."""
+    joined and encoded at once. A multi-parallel column is hashed as stored;
+    a bilingual one is packed one side at a time."""
     hasher = hashlib.sha256()
 
-    def add_column(code: str, column: list[str]) -> None:
+    def add_column(code: str, column: str, offsets: array) -> None:
         hasher.update(code.encode("utf-8") + b"\x00")
-        hasher.update(struct.pack(f">{len(column) + 1}Q", len(column), *map(len, column)))
-        hasher.update("".join(column).encode("utf-8"))
+        n = len(offsets) - 1
+        hasher.update(struct.pack(f">{n + 1}Q", n, *map(sub, offsets[1:], offsets)))
+        hasher.update(column.encode("utf-8"))
 
     if isinstance(corpus, BilingualCorpus):
         hasher.update(b"bilingual\x00")
-        add_column(corpus.source_lang.code, [src for src, _ in corpus.pairs])
-        add_column(corpus.target_lang.code, [tgt for _, tgt in corpus.pairs])
+        for lang, side in ((corpus.source_lang, 0), (corpus.target_lang, 1)):
+            add_column(lang.code, *_column([pair[side] for pair in corpus.pairs]))
     else:
         hasher.update(b"multiparallel\x00")
         for lang in corpus.languages:
             hasher.update(
                 f"{lang.code}|{int(lang.in_pretrain)}|{lang.pretrain_size}".encode("utf-8") + b"\x00"
             )
-        texts = [rec.texts for rec in corpus.records]
         for code in sorted(corpus.codes):
-            add_column(code, [t[code] for t in texts])
+            add_column(code, *corpus.columns[code])
     return hasher.hexdigest()

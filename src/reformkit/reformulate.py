@@ -199,23 +199,27 @@ def parse_reform(
     either duplicate the input or hand over the entire answer, so the
     example falls back to the baseline shape and is flagged in meta.
     """
-    fmt = fmt or ScaffoldFormat()
     if src.code == tgt.code:
         raise ValidationError("source and target language must differ")
-    source_text = _record_text(rec, src)
-    target_text = _record_text(rec, tgt)
-    example = TranslationExample(src, tgt, source_text, target_text, sentence_id=rec.id)
-    if pivot.code in (src.code, tgt.code):
-        fallback = baseline(example, fmt)
+    example = TranslationExample(
+        src, tgt, _record_text(rec, src), _record_text(rec, tgt), sentence_id=rec.id
+    )
+    return parse_scaffold(example, pivot, _record_text(rec, pivot), fmt or ScaffoldFormat())
+
+
+def parse_scaffold(
+    ex: TranslationExample, pivot: Language, pivot_text: str, fmt: ScaffoldFormat
+) -> ReformulatedExample:
+    """``parse_reform`` for an example whose texts are already read."""
+    if pivot.code in (ex.source_lang.code, ex.target_lang.code):
+        fallback = baseline(ex, fmt)
         return replace(fallback, meta={**fallback.meta, "parse_fallback": True})
-    pivot_text = _record_text(rec, pivot)
-    base = _base_input(example, fmt)
-    parts = (base, pivot_text)
+    parts = (_base_input(ex, fmt), pivot_text)
     return ReformulatedExample(
         input_text=_join(parts, fmt),
-        target_text=target_text,
+        target_text=ex.target_text,
         tag=TAG_PARSE,
-        meta={"sentence_id": rec.id, "scaffold_langs": [pivot.code]},
+        meta={"sentence_id": ex.sentence_id, "scaffold_langs": [pivot.code]},
         input_parts=parts,
     )
 
@@ -230,22 +234,38 @@ def mips_reform(
 ) -> ReformulatedExample:
     """Append one extra parallel translation to the input and another to the
     output, so four pairwise-distinct languages appear per example."""
-    fmt = fmt or ScaffoldFormat()
     codes = [src.code, tgt.code, aux_in.code, aux_out.code]
     if len(set(codes)) != 4:
         raise ValidationError(f"languages must be pairwise distinct, got {codes}")
-    source_text = _record_text(rec, src)
-    target_text = _record_text(rec, tgt)
-    aux_in_text = _record_text(rec, aux_in)
-    aux_out_text = _record_text(rec, aux_out)
-    example = TranslationExample(src, tgt, source_text, target_text, sentence_id=rec.id)
-    base = _base_input(example, fmt)
-    parts = (base, aux_in_text)
+    example = TranslationExample(
+        src, tgt, _record_text(rec, src), _record_text(rec, tgt), sentence_id=rec.id
+    )
+    return mips_scaffold(
+        example,
+        aux_in,
+        aux_out,
+        _record_text(rec, aux_in),
+        _record_text(rec, aux_out),
+        fmt or ScaffoldFormat(),
+    )
+
+
+def mips_scaffold(
+    ex: TranslationExample,
+    aux_in: Language,
+    aux_out: Language,
+    aux_in_text: str,
+    aux_out_text: str,
+    fmt: ScaffoldFormat,
+) -> ReformulatedExample:
+    """``mips_reform`` for an example whose texts are already read; the
+    caller guarantees four distinct languages."""
+    parts = (_base_input(ex, fmt), aux_in_text)
     return ReformulatedExample(
         input_text=_join(parts, fmt),
-        target_text=_join((target_text, aux_out_text), fmt),
+        target_text=_join((ex.target_text, aux_out_text), fmt),
         tag=TAG_MIPS,
-        meta={"sentence_id": rec.id, "scaffold_langs": [aux_in.code, aux_out.code]},
+        meta={"sentence_id": ex.sentence_id, "scaffold_langs": [aux_in.code, aux_out.code]},
         input_parts=parts,
     )
 

@@ -348,11 +348,11 @@ def test_criterion_09_batch_budget_rule():
                 batch_size=batch,
             )
 
-        assert batch_plan(cfg_for("parse", 2048), reform_active=True)[0] == 1024
-        assert batch_plan(cfg_for("mips", 2048), reform_active=True)[0] == 1024
-        assert batch_plan(cfg_for("none", 2048), reform_active=False)[0] == 2048
-        assert batch_plan(cfg_for("pose", 2048), reform_active=True)[0] == 2048
-        assert batch_plan(cfg_for("parse", 2048), reform_active=False)[0] == 2048
+        assert batch_plan(cfg_for("parse", 2048), reform_active=True) == 1024
+        assert batch_plan(cfg_for("mips", 2048), reform_active=True) == 1024
+        assert batch_plan(cfg_for("none", 2048), reform_active=False) == 2048
+        assert batch_plan(cfg_for("pose", 2048), reform_active=True) == 2048
+        assert batch_plan(cfg_for("parse", 2048), reform_active=False) == 2048
         with pytest.raises(ValidationError):
             batch_plan(cfg_for("parse", 2047), reform_active=True)
 

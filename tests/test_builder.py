@@ -27,6 +27,7 @@ from reformkit.corpus import (
     Language,
     MultiParallelCorpus,
     SentenceRecord,
+    TranslationExample,
     corpus_digest,
     load_multiparallel,
     write_multiparallel,
@@ -519,17 +520,15 @@ def test_stats_empty_and_sidecar(tmp_path):
 
 def test_batch_plan_halving():
     parse_cfg = BuildConfig(task="multiparallel", reform="parse", n_train=4096, batch_size=2048)
-    assert batch_plan(parse_cfg, reform_active=True)[0] == 1024
-    assert batch_plan(parse_cfg, reform_active=False)[0] == 2048
+    assert batch_plan(parse_cfg, reform_active=True) == 1024
+    assert batch_plan(parse_cfg, reform_active=False) == 2048
     pose_cfg = BuildConfig(task="bilingual", reform="pose", n_train=1024, batch_size=512)
-    assert batch_plan(pose_cfg, reform_active=True)[0] == 512
+    assert batch_plan(pose_cfg, reform_active=True) == 512
     none_cfg = BuildConfig(task="bilingual", reform="none", n_train=4096, batch_size=2048)
-    assert batch_plan(none_cfg, reform_active=True)[0] == 2048
+    assert batch_plan(none_cfg, reform_active=True) == 2048
     odd = BuildConfig(task="multiparallel", reform="mips", n_train=2000, batch_size=1025)
     with pytest.raises(ValidationError):
         batch_plan(odd, reform_active=True)
-    n, tokens = batch_plan(parse_cfg, True, mean_tokens_per_example=30.0)
-    assert tokens == 1024 * 30.0
 
 
 def test_config_validation():
@@ -732,3 +731,67 @@ def test_examples_that_draw_nothing_seed_no_substream(tmp_path, monkeypatch):
     # a mix schedule draws its reform coin for every train example
     build(corpus, BuildConfig(reform="pose", schedule=mix(0.5, 1), **common), tmp_path / "mix")
     assert seeded["example:train"] == 40 + 200
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parse_and_mips_builds_never_read_records(tmp_path, monkeypatch, workers):
+    write_multiparallel(synth_multiparallel(6, 60, seed=7), tmp_path / "corpus")
+    corpus = load_multiparallel(tmp_path / "corpus")
+    cfg = BuildConfig(
+        task="multiparallel", reform="parse", n_train=200, batch_size=50, seed=3,
+        n_valid=20, n_test=20, shard_size=50, pivot="eng_Latn", schedule=mix(0.8, 1),
+    )
+    expected = {}
+    for reform in ("parse", "mips"):
+        build(corpus, replace(cfg, reform=reform), tmp_path / f"{reform}-plain")
+        expected[reform] = _shard_bytes(tmp_path / f"{reform}-plain")
+
+    def no_records(self):
+        raise AssertionError("the build read MultiParallelCorpus.records")
+
+    monkeypatch.setattr(MultiParallelCorpus, "records", property(no_records))
+    for reform in ("parse", "mips"):
+        out = tmp_path / f"{reform}-{workers}"
+        build(corpus, replace(cfg, reform=reform), out, workers=workers)
+        assert _shard_bytes(out) == expected[reform]
+    with pytest.raises(AssertionError, match="records"):
+        corpus.records
+
+
+def test_hand_built_record_ids_reach_the_shards(tmp_path):
+    ids = [1000 + 7 * i for i in range(30)][::-1]
+    langs = synth_multiparallel(5, 1).languages
+    records = [SentenceRecord(i, {lang.code: f"{lang.code} s{i} w" for lang in langs}) for i in ids]
+    corpus = MultiParallelCorpus(langs, records)
+    assert [corpus.records[i].id for i in range(len(corpus))] == ids
+    for reform in ("none", "parse", "mips"):
+        cfg = BuildConfig(
+            task="multiparallel", reform=reform, n_train=60, batch_size=20, seed=2, n_valid=10,
+            schedule=None if reform == "none" else mix(1.0, 1),
+        )
+        build(corpus, cfg, tmp_path / reform, workers=2)
+        examples = _read_examples(tmp_path / reform) + _read_examples(tmp_path / reform, "valid")
+        assert len(examples) == 70
+        for ex in examples:
+            sid = ex["meta"]["sentence_id"]
+            assert sid in ids
+            assert ex["target"].startswith(f"{ex['meta']['target_lang']} s{sid} w")
+
+
+def test_each_example_is_built_once(tmp_path, monkeypatch):
+    # parse and mips get the example the builder made, never a second one
+    made = []
+    post_init = TranslationExample.__post_init__
+    monkeypatch.setattr(
+        TranslationExample, "__post_init__", lambda self: made.append(self) or post_init(self)
+    )
+    corpus = synth_multiparallel(6, 50, seed=1)
+    for reform in ("parse", "mips"):
+        made.clear()
+        cfg = BuildConfig(
+            task="multiparallel", reform=reform, n_train=100, batch_size=20, seed=8, n_valid=10,
+            schedule=mix(1.0, 1),
+        )
+        manifest = build(corpus, cfg, tmp_path / reform)
+        assert manifest.splits["train"]["tags"][reform] > 0
+        assert len(made) == 110

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -17,6 +20,7 @@ from reformkit.corpus import (
     corpus_digest,
     example_from_record,
     load_bilingual,
+    load_manifest,
     load_multiparallel,
     split,
     write_bilingual,
@@ -361,3 +365,107 @@ def test_digest_is_pinned():
     assert corpus_digest(synth_bilingual(12, seed=3)) == (
         "ecdee6648e2878ec127da3973778bd305a2a75e0f7f4134e1c92658d9d299867"
     )
+
+
+def test_loaded_hand_built_and_split_corpora_are_equal_values(tmp_path):
+    loaded = load_multiparallel(_toy_multi(tmp_path, n=40))
+    records = [
+        SentenceRecord(i, {code: f"{code} sentence {i}" for code in loaded.codes}) for i in range(40)
+    ]
+    built = MultiParallelCorpus(loaded.languages, records)
+    assert built == loaded and repr(built) == repr(loaded)
+    parts = split(loaded, (30, 6, 4), seed=5)
+    assert split(built, (30, 6, 4), seed=5) == parts
+    # a part is the same value as its records packed by hand
+    for part in parts:
+        by_hand = MultiParallelCorpus(
+            loaded.languages,
+            [SentenceRecord(r.id, dict(r.texts)) for r in part.records],
+        )
+        assert by_hand == part
+        assert corpus_digest(by_hand) == corpus_digest(part)
+    for corpus in (loaded, built, *parts):
+        again = pickle.loads(pickle.dumps(corpus))
+        assert again == corpus
+        assert corpus_digest(again) == corpus_digest(corpus)
+    assert corpus_digest(built) == corpus_digest(loaded)
+    assert parts[0] != loaded and corpus_digest(parts[0]) != corpus_digest(loaded)
+    # the same texts in another language order are another corpus value
+    assert MultiParallelCorpus(tuple(reversed(loaded.languages)), records) != loaded
+
+
+def test_records_view_builds_records_from_the_columns():
+    langs = (Language("aaa"), Language("bbb"))
+    ids = (10, 3, 77)
+    records = [SentenceRecord(i, {"aaa": f"a{i}", "bbb": f"b{i}", "zzz": "extra"}) for i in ids]
+    corpus = MultiParallelCorpus(langs, records)
+    view = corpus.records
+    assert len(view) == len(corpus) == 3
+    assert [r.id for r in view] == list(ids)
+    # only the corpus languages are kept
+    assert view[0] == SentenceRecord(10, {"aaa": "a10", "bbb": "b10"})
+    assert view[-1].id == 77
+    with pytest.raises(IndexError):
+        view[3]
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+    assert corpus.text(2, "bbb") == "b77"
+    with pytest.raises(ValidationError, match="unknown language: zzz"):
+        corpus.text(0, "zzz")
+    assert MultiParallelCorpus(langs, view) == corpus
+
+
+def test_missing_or_empty_text_keeps_its_error(tmp_path):
+    langs = (Language("aaa"), Language("bbb"))
+    for texts in ({"aaa": "x"}, {"aaa": "x", "bbb": ""}):
+        records = (SentenceRecord(0, {"aaa": "y", "bbb": "z"}), SentenceRecord(4, texts))
+        with pytest.raises(AlignmentError) as err:
+            MultiParallelCorpus(langs, records)
+        assert str(err.value) == "record 4: missing text for language bbb"
+    _toy_multi(tmp_path)
+    target = tmp_path / "ccc_Latn.txt"
+    lines = target.read_text(encoding="utf-8").splitlines()
+    lines[2] = ""
+    target.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_multiparallel(tmp_path)
+    assert str(err.value) == f"{target}: line 3: empty sentence"
+
+
+def test_loaded_corpus_is_smaller_than_its_texts_as_strings(tmp_path):
+    write_multiparallel(synth_multiparallel(24, 400, seed=6), tmp_path)
+    tracemalloc.start()
+    try:
+        corpus = load_multiparallel(tmp_path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    as_strings = sum(sys.getsizeof(text) for rec in corpus.records for text in rec.texts.values())
+    assert held < as_strings
+
+
+@pytest.mark.parametrize(
+    "entry, what",
+    [
+        ({"code": "aaa", "in_pretrain": "false"}, "in_pretrain must be a bool, got 'false'"),
+        ({"code": "aaa", "in_pretrain": 1}, "in_pretrain must be a bool, got 1"),
+        ({"code": "aaa", "pretrain_size": 3.7}, "pretrain_size must be an int, got 3.7"),
+        ({"code": "aaa", "pretrain_size": True}, "pretrain_size must be an int, got True"),
+        ({"code": "aaa", "pretrain_size": "12"}, "pretrain_size must be an int, got '12'"),
+        ({"code": 5}, "code must be a nonempty string, got 5"),
+        ({"code": ""}, "code must be a nonempty string, got ''"),
+    ],
+)
+def test_manifest_values_are_cast_strictly(tmp_path, entry, what):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"code": "eng_Latn"}, entry]), encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: entry 1: {what}"
+
+
+def test_manifest_defaults_and_typed_values_load(tmp_path):
+    path = tmp_path / "manifest.json"
+    entries = [{"code": "eng_Latn", "in_pretrain": True, "pretrain_size": 12}, {"code": "bod_Tibt"}]
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    assert load_manifest(path) == [Language("eng_Latn", True, 12), Language("bod_Tibt", False, 0)]

@@ -15,7 +15,9 @@ from reformkit.reformulate import (
     baseline,
     mask_tokens,
     mips_reform,
+    mips_scaffold,
     parse_reform,
+    parse_scaffold,
     pose,
     prefix_suffix,
     span_mask,
@@ -224,6 +226,26 @@ def test_mips_three_language_record():
     # a fourth language can be named but its text is absent
     with pytest.raises(AlignmentError, match="bod_Tibt"):
         mips_reform(record, DEU, FRA, ENG, TIB)
+
+
+def test_record_kernels_equal_the_example_helpers():
+    langs = {lang.code: lang for lang in (TIB, ENG, DEU, FRA)}
+    fmt = ScaffoldFormat(delimiter=" | ", target_lang_tag_template="<2{code}> ")
+    for src in langs.values():
+        for tgt in langs.values():
+            if src == tgt:
+                continue
+            ex = TranslationExample(
+                src, tgt, _RECORD.texts[src.code], _RECORD.texts[tgt.code], sentence_id=_RECORD.id
+            )
+            want = parse_reform(_RECORD, src, tgt, ENG, fmt)
+            assert parse_scaffold(ex, ENG, _RECORD.texts["eng_Latn"], fmt) == want
+            aux_in, aux_out = (lang for code, lang in langs.items() if code not in (src.code, tgt.code))
+            want = mips_reform(_RECORD, src, tgt, aux_in, aux_out, fmt)
+            got = mips_scaffold(
+                ex, aux_in, aux_out, _RECORD.texts[aux_in.code], _RECORD.texts[aux_out.code], fmt
+            )
+            assert got == want
 
 
 def test_mask_numbering_left_to_right():
