@@ -158,9 +158,13 @@ class BuildConfig:
                 if f.default is MISSING and f.default_factory is MISSING:
                     raise ValidationError(f"config missing required key: {f.name}")
                 continue
+            if f.name in ("fmt", "seg", "schedule") and not isinstance(value, dict):
+                raise ValidationError(f"config key {f.name} must be an object")
+            if f.name == "split_fracs" and not isinstance(value, list):
+                raise ValidationError("config key split_fracs must be a list")
             try:
                 if f.name in _NESTED:
-                    value = _NESTED[f.name](**{k: v for k, v in dict(value).items() if v is not None})
+                    value = _NESTED[f.name](**{k: v for k, v in value.items() if v is not None})
                 elif f.name == "split_fracs":
                     value = tuple(cast_scalar(f.name, "float", x) for x in value)
                 else:
@@ -175,11 +179,7 @@ class BuildConfig:
             return cfg
         # the stored total_steps is re-derived at build time; take it from
         # the validated n_train and batch_size
-        try:
-            policy = policy_from_dict({"total_steps": cfg.total_steps, **schedule})
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"config key schedule: {exc}") from exc
-        return replace(cfg, schedule=policy)
+        return replace(cfg, schedule=policy_from_dict({"total_steps": cfg.total_steps, **schedule}))
 
 
 @dataclass(frozen=True)
@@ -192,16 +192,8 @@ class BuildManifest:
         return asdict(self)
 
 
-def split_pools(
-    n_items: int, fracs: Sequence[float], seed: int
-) -> dict[str, list[int]]:
-    """Deterministically partition item indices into train/valid/test pools."""
-    sizes = [math.floor(frac * n_items) for frac in fracs]
-    return dict(zip(_SPLITS, partition(n_items, sizes, seed)))
-
-
 def sample_pairs(
-    corpus: BilingualCorpus | MultiParallelCorpus,
+    corpus: MultiParallelCorpus,
     n: int,
     seed: int,
     record_ids: Sequence[int] | None = None,
@@ -214,12 +206,8 @@ def sample_pairs(
     otherwise. Restricting ``record_ids`` keeps train, valid, and test
     draws disjoint at the sentence level.
     """
-    if isinstance(corpus, BilingualCorpus):
-        codes = (corpus.source_lang.code, corpus.target_lang.code)
-        dirs = 1
-    else:
-        codes = corpus.codes
-        dirs = len(codes) * (len(codes) - 1)
+    codes = corpus.codes
+    dirs = 1 if isinstance(corpus, BilingualCorpus) else len(codes) * (len(codes) - 1)
     if not dirs:
         raise ValidationError("need at least 2 languages to form direction pairs")
     if n < 1:
@@ -311,19 +299,13 @@ def _build_example(
     once per build."""
     rng = _LazySubstream(cfg.seed, f"example:{split}", index)
     item_id, src_code, tgt_code = assignment
-    if cfg.task == "bilingual":
-        source_text, target_text = corpus.pairs[item_id]
-        example = TranslationExample(
-            corpus.source_lang, corpus.target_lang, source_text, target_text
-        )
-    else:
-        example = TranslationExample(
-            corpus.language(src_code),
-            corpus.language(tgt_code),
-            corpus.text(item_id, src_code),
-            corpus.text(item_id, tgt_code),
-            corpus.ids[item_id],
-        )
+    example = TranslationExample(
+        corpus.language(src_code),
+        corpus.language(tgt_code),
+        corpus.text(item_id, src_code),
+        corpus.text(item_id, tgt_code),
+        None if cfg.task == "bilingual" else corpus.ids[item_id],
+    )
 
     step = index // cfg.batch_size if split == "train" else None
     step_policy = None
@@ -490,10 +472,10 @@ def _counter_stats(counter: Counter) -> dict:
 
 
 def _validate_against_corpus(corpus, cfg: BuildConfig) -> None:
-    if cfg.task == "bilingual" and not isinstance(corpus, BilingualCorpus):
-        raise ValidationError("bilingual task needs a BilingualCorpus")
-    if cfg.task == "multiparallel" and not isinstance(corpus, MultiParallelCorpus):
-        raise ValidationError("multiparallel task needs a MultiParallelCorpus")
+    # a BilingualCorpus is also a MultiParallelCorpus, so the class must match exactly
+    wanted = BilingualCorpus if cfg.task == "bilingual" else MultiParallelCorpus
+    if type(corpus) is not wanted:
+        raise ValidationError(f"{cfg.task} task needs a {wanted.__name__}")
     if cfg.task == "bilingual" and cfg.reform in ("parse", "mips"):
         raise ValidationError(f"{cfg.reform} needs a multi-parallel corpus")
     if cfg.reform == "parse" and cfg.pivot not in corpus.codes:
@@ -505,7 +487,7 @@ def _validate_against_corpus(corpus, cfg: BuildConfig) -> None:
 
 
 def build(
-    corpus: BilingualCorpus | MultiParallelCorpus,
+    corpus: MultiParallelCorpus,
     cfg: BuildConfig,
     out_dir: str | Path,
     workers: int = 1,
@@ -518,14 +500,14 @@ def build(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pools = split_pools(len(corpus), cfg.split_fracs, cfg.seed)
+    n_items = len(corpus)
+    pools = partition(n_items, [math.floor(frac * n_items) for frac in cfg.split_fracs], cfg.seed)
     mips_codes = tuple(sorted(corpus.codes)) if cfg.reform == "mips" else ()
 
     jobs = []
-    for split, n_wanted in (("train", cfg.n_train), ("valid", cfg.n_valid), ("test", cfg.n_test)):
+    for split, n_wanted, pool in zip(_SPLITS, (cfg.n_train, cfg.n_valid, cfg.n_test), pools):
         if n_wanted == 0:
             continue
-        pool = pools[split]
         if not pool:
             raise ValidationError(
                 f"{split} pool is empty; adjust split_fracs or corpus size"

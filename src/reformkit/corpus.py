@@ -49,16 +49,6 @@ class SentenceRecord:
     texts: dict[str, str]
 
 
-@dataclass(frozen=True)
-class BilingualCorpus:
-    source_lang: Language
-    target_lang: Language
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 def _column(texts: Sequence[str]) -> tuple[str, array]:
     """One language column: the texts joined, and the code-point offset of
     each text's start plus the end of the last."""
@@ -116,6 +106,14 @@ class MultiParallelCorpus:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_by_code", {lang.code: lang for lang in languages})
 
+    @classmethod
+    def _from_columns(cls, languages: Sequence[Language], n: int, columns: dict):
+        """A corpus of this class over ``columns`` of ``n`` texts each, with
+        ids ``0 .. n-1``, made without running a subclass's ``__init__``."""
+        corpus = object.__new__(cls)
+        MultiParallelCorpus.__init__(corpus, languages, ids=array("q", range(n)), columns=columns)
+        return corpus
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -143,6 +141,33 @@ class MultiParallelCorpus:
         except KeyError:
             raise ValidationError(f"unknown language: {code}") from None
         return column[offsets[index] : offsets[index + 1]]
+
+
+class BilingualCorpus(MultiParallelCorpus):
+    """A two-language corpus, ``languages == (source_lang, target_lang)``,
+    that builds in one direction: source to target. Each text of ``pairs``
+    must be nonempty, as in any record."""
+
+    def __init__(
+        self, source_lang: Language, target_lang: Language, pairs: Iterable[tuple[str, str]]
+    ) -> None:
+        codes = (source_lang.code, target_lang.code)
+        records = (SentenceRecord(i, dict(zip(codes, pair))) for i, pair in enumerate(pairs))
+        super().__init__((source_lang, target_lang), records)
+
+    @property
+    def source_lang(self) -> Language:
+        return self.languages[0]
+
+    @property
+    def target_lang(self) -> Language:
+        return self.languages[1]
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The (source, target) texts, built from the columns on each access."""
+        source, target = self.codes
+        return tuple((self.text(i, source), self.text(i, target)) for i in range(len(self)))
 
 
 class _Records(SequenceABC):
@@ -201,9 +226,10 @@ def read_utf8(path: str | Path) -> str:
 
 @contextmanager
 def open_utf8(path: str | Path) -> Iterator[TextIO]:
-    """``Path.open`` in UTF-8 for reading, failing with a ValidationError."""
+    """``Path.open`` in UTF-8 for reading, failing with a ValidationError.
+    Only LF ends a line; the CR of a CRLF ending stays on the line."""
     try:
-        with Path(path).open(encoding="utf-8") as fh:
+        with Path(path).open(encoding="utf-8", newline="\n") as fh:
             yield fh
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
@@ -223,7 +249,8 @@ def load_bilingual(
     path = Path(path)
     if fmt not in ("tsv", "jsonl"):
         raise UsageError(f"unknown bilingual format: {fmt!r}")
-    pairs: list[tuple[str, str]] = []
+    sources: list[str] = []
+    targets: list[str] = []
     bad: list[str] = []
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -256,14 +283,13 @@ def load_bilingual(
             if not src or not tgt:
                 bad.append(f"line {lineno}: empty source or target after trimming")
                 continue
-            pairs.append((src, tgt))
+            sources.append(src)
+            targets.append(tgt)
     if bad:
         raise ValidationError(f"{path}: {len(bad)} malformed row(s): " + "; ".join(bad))
-    return BilingualCorpus(
-        source_lang=source_lang or Language("src"),
-        target_lang=target_lang or Language("tgt"),
-        pairs=tuple(pairs),
-    )
+    languages = (source_lang or Language("src"), target_lang or Language("tgt"))
+    columns = {lang.code: _column(texts) for lang, texts in zip(languages, (sources, targets))}
+    return BilingualCorpus._from_columns(languages, len(sources), columns)
 
 
 def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None:
@@ -331,7 +357,10 @@ def load_multiparallel(
         lang_file = directory / f"{lang.code}.txt"
         if not lang_file.exists():
             raise ValidationError(f"missing language file: {lang_file}")
-        texts = [_clean(raw) for raw in read_utf8(lang_file).splitlines()]
+        lines = read_utf8(lang_file).split("\n")  # not splitlines: it also splits at U+2028
+        if not lines[-1]:  # after the final LF, or an empty file
+            lines.pop()
+        texts = [_clean(raw) for raw in lines]
         if not all(texts):
             raise ValidationError(f"{lang_file}: line {texts.index('') + 1}: empty sentence")
         if expected is None:
@@ -346,7 +375,7 @@ def load_multiparallel(
         columns[lang.code] = _column(texts)
 
     assert expected is not None
-    return MultiParallelCorpus(langs, ids=array("q", range(expected)), columns=columns)
+    return MultiParallelCorpus._from_columns(langs, expected, columns)
 
 
 def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> None:
@@ -386,30 +415,21 @@ def partition(n_items: int, sizes: Sequence[int], seed: int) -> list[list[int]]:
     return parts
 
 
-def split(
-    corpus: BilingualCorpus | MultiParallelCorpus,
-    sizes: tuple[int, int, int],
-    seed: int,
-):
-    """Deterministically split into (train, valid, test) of exactly ``sizes``."""
+def split(corpus: MultiParallelCorpus, sizes: tuple[int, int, int], seed: int):
+    """Deterministically split into (train, valid, test) of exactly ``sizes``,
+    each a corpus of the input's class with ids re-densified."""
     if len(sizes) != 3 or min(sizes) < 0:
         raise ValidationError("split sizes must be three nonnegative counts")
     total = len(corpus)
     if sum(sizes) > total:
         raise ValidationError(f"split sizes {sizes} exceed corpus size {total}")
-    picks = partition(total, sizes, seed)
-    if isinstance(corpus, BilingualCorpus):
-        return tuple(
-            BilingualCorpus(corpus.source_lang, corpus.target_lang, tuple(corpus.pairs[i] for i in idx))
-            for idx in picks
-        )
     return tuple(
-        MultiParallelCorpus(
+        corpus._from_columns(
             corpus.languages,
-            ids=array("q", range(len(idx))),
-            columns={code: _column([corpus.text(i, code) for i in idx]) for code in corpus.codes},
+            len(idx),
+            {code: _column([corpus.text(i, code) for i in idx]) for code in corpus.codes},
         )
-        for idx in picks
+        for idx in partition(total, sizes, seed)
     )
 
 
@@ -428,7 +448,7 @@ def example_from_record(
     )
 
 
-def corpus_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
+def corpus_digest(corpus: MultiParallelCorpus) -> str:
     """Stable SHA-256 over corpus content, independent of load path. Corpora
     are immutable values, so it is computed once per corpus object and kept
     on it outside the dataclass fields, out of ``==`` and ``repr``."""
@@ -439,30 +459,22 @@ def corpus_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
     return digest
 
 
-def _content_digest(corpus: BilingualCorpus | MultiParallelCorpus) -> str:
-    """SHA-256 of a header, then one block per language column: the code, the
-    text count and each text's length in code points (big-endian 8-byte
-    words, so no text content can fake a boundary), then the column's texts
-    joined and encoded at once. A multi-parallel column is hashed as stored;
-    a bilingual one is packed one side at a time."""
+def _content_digest(corpus: MultiParallelCorpus) -> str:
+    """SHA-256 of a header naming each language and its pretraining data, in
+    corpus order, then one block per language column in sorted code order:
+    the code, the text count and each text's length in code points
+    (big-endian 8-byte words, so no text content can fake a boundary), then
+    the column's texts as stored. Every corpus kind hashes in this layout."""
     hasher = hashlib.sha256()
-
-    def add_column(code: str, column: str, offsets: array) -> None:
-        hasher.update(code.encode("utf-8") + b"\x00")
+    hasher.update(b"multiparallel\x00")
+    for lang in corpus.languages:
+        hasher.update(
+            f"{lang.code}|{int(lang.in_pretrain)}|{lang.pretrain_size}".encode("utf-8") + b"\x00"
+        )
+    for code in sorted(corpus.codes):
+        column, offsets = corpus.columns[code]
         n = len(offsets) - 1
+        hasher.update(code.encode("utf-8") + b"\x00")
         hasher.update(struct.pack(f">{n + 1}Q", n, *map(sub, offsets[1:], offsets)))
         hasher.update(column.encode("utf-8"))
-
-    if isinstance(corpus, BilingualCorpus):
-        hasher.update(b"bilingual\x00")
-        for lang, side in ((corpus.source_lang, 0), (corpus.target_lang, 1)):
-            add_column(lang.code, *_column([pair[side] for pair in corpus.pairs]))
-    else:
-        hasher.update(b"multiparallel\x00")
-        for lang in corpus.languages:
-            hasher.update(
-                f"{lang.code}|{int(lang.in_pretrain)}|{lang.pretrain_size}".encode("utf-8") + b"\x00"
-            )
-        for code in sorted(corpus.codes):
-            add_column(code, *corpus.columns[code])
     return hasher.hexdigest()

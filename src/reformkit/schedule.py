@@ -259,8 +259,11 @@ def policy_to_dict(policy: SchedulePolicy) -> dict:
 def cast_scalar(name: str, annotation: str, value):
     """``value`` checked against the scalar type a config field declares:
     an int but not a bool for ``int``, any int or float (returned as a float)
-    for ``float``, only a bool for ``bool``. Other annotations pass through."""
-    if annotation == "bool":
+    for ``float``, only a bool for ``bool``, only a string for ``str``. Other
+    annotations pass through."""
+    if annotation == "str":
+        ok = isinstance(value, str)
+    elif annotation == "bool":
         ok = isinstance(value, bool)
     elif annotation == "int":
         ok = isinstance(value, int) and not isinstance(value, bool)

@@ -18,7 +18,6 @@ from reformkit.builder import (
     batch_plan,
     build,
     sample_pairs,
-    split_pools,
     stats,
     stats_from_counts,
 )
@@ -30,6 +29,7 @@ from reformkit.corpus import (
     TranslationExample,
     corpus_digest,
     load_multiparallel,
+    partition,
     write_multiparallel,
 )
 from reformkit.errors import ValidationError
@@ -97,13 +97,13 @@ def test_sample_pairs_bilingual_draws_are_pinned():
 
 
 def test_split_pools_disjoint_and_deterministic():
-    pools = split_pools(1000, (0.9, 0.05, 0.05), seed=3)
-    assert len(pools["train"]) == 900
-    assert len(pools["valid"]) == 50
-    assert len(pools["test"]) == 50
-    assert not set(pools["train"]) & set(pools["valid"])
-    assert not set(pools["train"]) & set(pools["test"])
-    assert pools == split_pools(1000, (0.9, 0.05, 0.05), seed=3)
+    # the train/valid/test pools a build cuts for split_fracs (0.9, 0.05, 0.05)
+    train, valid, test = pools = partition(1000, (900, 50, 50), seed=3)
+    assert (len(train), len(valid), len(test)) == (900, 50, 50)
+    assert not set(train) & set(valid)
+    assert not set(train) & set(test)
+    assert not set(valid) & set(test)
+    assert pools == partition(1000, (900, 50, 50), seed=3)
 
 
 def test_build_rerun_is_byte_identical(tmp_path):
@@ -589,6 +589,17 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({**data, "front_share": False})
     with pytest.raises(ValidationError, match="split_fracs must be a float"):
         BuildConfig.from_dict({**data, "split_fracs": ["0.8", 0.1, 0.1]})
+    with pytest.raises(ValidationError, match="config key split_fracs must be a list"):
+        BuildConfig.from_dict({**data, "split_fracs": "abc"})
+    # a string field takes only a string, so a bad pivot is not echoed
+    with pytest.raises(ValidationError, match="pivot must be a str, got 5"):
+        BuildConfig.from_dict({**data, "pivot": 5})
+    with pytest.raises(ValidationError, match="reform must be a str"):
+        BuildConfig.from_dict({**data, "reform": ["parse"]})
+    for key, value in (("fmt", "\t"), ("seg", ["whitespace"]), ("schedule", "mix")):
+        with pytest.raises(ValidationError) as err:
+            BuildConfig.from_dict({**data, key: value})
+        assert str(err.value) == f"config key {key} must be an object"
     mask = {"kind": "mask_window", "start_frac": 0.0, "end_frac": 1.0, "mask_p": 0.1, "mean_span": 3}
     with pytest.raises(ValidationError, match="span must be a bool"):
         BuildConfig.from_dict({**data, "schedule": {**mask, "span": "false"}})

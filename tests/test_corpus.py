@@ -7,10 +7,10 @@ import json
 import pickle
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
+from reformkit.builder import BuildConfig, build
 from reformkit.corpus import (
     BilingualCorpus,
     Language,
@@ -93,11 +93,40 @@ def test_nfc_normalization_applied(tmp_path):
 def test_bilingual_round_trip(tmp_path):
     rows = [("ett två", "one two"), ("tre", "three")]
     corpus = BilingualCorpus(Language("swe_Latn"), Language("eng_Latn"), tuple(rows))
+    assert corpus.pairs == tuple(rows)
     for fmt in ("tsv", "jsonl"):
         out = tmp_path / f"rt.{fmt}"
         write_bilingual(corpus, out, fmt)
         again = load_bilingual(out, fmt, corpus.source_lang, corpus.target_lang)
+        # stored as one column per language, like any multi-parallel corpus
+        assert again.codes == ("swe_Latn", "eng_Latn")
+        assert set(again.columns) == {"swe_Latn", "eng_Latn"}
+        assert again.text(0, "swe_Latn") == "ett två"
         assert again.pairs == corpus.pairs
+        assert again == corpus and corpus_digest(again) == corpus_digest(corpus)
+
+
+def test_bilingual_lines_split_at_lf_only(tmp_path):
+    tsv = tmp_path / "pairs.tsv"
+    tsv.write_bytes("a\rb\tc\r\nd\u2028e\tf\x0cg\n".encode("utf-8"))
+    assert load_bilingual(tsv, "tsv").pairs == (("a\rb", "c"), ("d\u2028e", "f\x0cg"))
+    jsonl = tmp_path / "pairs.jsonl"
+    jsonl.write_bytes(b'{"source": "a",\r"target": "b"}\r\n{"source": "c", "target": "d"}')
+    assert load_bilingual(jsonl, "jsonl").pairs == (("a", "b"), ("c", "d"))
+
+
+def test_task_and_corpus_kind_must_match(tmp_path):
+    bilingual = synth_bilingual(20, seed=1)
+    multi = MultiParallelCorpus(bilingual.languages, bilingual.records)
+    assert isinstance(bilingual, MultiParallelCorpus)
+    for task, corpus, message in (
+        ("multiparallel", bilingual, "multiparallel task needs a MultiParallelCorpus"),
+        ("bilingual", multi, "bilingual task needs a BilingualCorpus"),
+    ):
+        cfg = BuildConfig(task=task, reform="none", n_train=10, batch_size=5)
+        with pytest.raises(ValidationError, match=message):
+            build(corpus, cfg, tmp_path / task)
+        assert not (tmp_path / task).exists()
 
 
 def _toy_multi(tmp_path, n=10, codes=("aaa_Latn", "bbb_Latn", "ccc_Latn", "ddd_Latn")):
@@ -130,6 +159,25 @@ def test_load_multiparallel_via_manifest_path(tmp_path):
     _toy_multi(tmp_path)
     corpus = load_multiparallel(tmp_path / "manifest.json")
     assert len(corpus) == 10
+
+
+def test_multiparallel_lines_split_at_lf_only(tmp_path):
+    _toy_multi(tmp_path, n=0, codes=("aaa", "bbb", "ccc"))
+    (tmp_path / "aaa.txt").write_text("one\u2028two\x85three\nfour\x0cfive\n", encoding="utf-8")
+    (tmp_path / "bbb.txt").write_bytes(b"x\r\ny")  # CRLF, and no final LF
+    (tmp_path / "ccc.txt").write_text("p\nq\n", encoding="utf-8")
+    corpus = load_multiparallel(tmp_path)
+    assert [r.texts for r in corpus.records] == [
+        {"aaa": "one\u2028two\x85three", "bbb": "x", "ccc": "p"},
+        {"aaa": "four\x0cfive", "bbb": "y", "ccc": "q"},
+    ]
+    # empty files make an empty corpus; a lone LF is one empty sentence
+    for code in ("aaa", "bbb", "ccc"):
+        (tmp_path / f"{code}.txt").write_text("", encoding="utf-8")
+    assert len(load_multiparallel(tmp_path)) == 0
+    (tmp_path / "ccc.txt").write_text("\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 1: empty sentence"):
+        load_multiparallel(tmp_path)
 
 
 def test_multiparallel_length_mismatch(tmp_path):
@@ -216,8 +264,13 @@ def test_split_oversized_errors(tmp_path):
 def test_split_bilingual(tmp_path):
     pairs = tuple((f"s{i}", f"t{i}") for i in range(50))
     corpus = BilingualCorpus(Language("bod_Tibt"), Language("eng_Latn"), pairs)
-    train, valid, test = split(corpus, (40, 5, 5), seed=3)
+    digest = corpus_digest(corpus)
+    train, valid, test = parts = split(corpus, (40, 5, 5), seed=3)
     assert (len(train), len(valid), len(test)) == (40, 5, 5)
+    # each part is a BilingualCorpus of its own, hashed anew
+    for part in parts:
+        assert type(part) is BilingualCorpus and part.languages == corpus.languages
+        assert corpus_digest(part) != digest
     union = set(train.pairs) | set(valid.pairs) | set(test.pairs)
     assert union <= set(pairs)
     assert len(union) == 50
@@ -339,18 +392,18 @@ def test_digest_sees_any_one_text_changing():
         for side in range(2):
             pairs = [list(p) for p in bi.pairs]
             pairs[i][side] += "x"
-            digests.add(corpus_digest(replace(bi, pairs=tuple(map(tuple, pairs)))))
+            digests.add(corpus_digest(BilingualCorpus(bi.source_lang, bi.target_lang, map(tuple, pairs))))
     assert len(digests) == 5
 
 
 def test_digest_is_pinned():
     # the layout spelled out: header, then per column its code, the text
     # count and code-point lengths as big-endian 8-byte words, and its texts;
-    # a bilingual header names only the kind, as its columns carry the codes
+    # a bilingual corpus is hashed as the two-language corpus it is
     bi = BilingualCorpus(Language("src"), Language("tgt"), (("ab", "cd"), ("éf", "gh")))
     words = lambda *ns: b"".join(n.to_bytes(8, "big") for n in ns)
     layout = (
-        b"bilingual\x00"
+        b"multiparallel\x00src|0|0\x00tgt|0|0\x00"
         + b"src\x00" + words(2, 2, 2) + "abéf".encode("utf-8")
         + b"tgt\x00" + words(2, 2, 2) + b"cdgh"
     )
@@ -362,8 +415,9 @@ def test_digest_is_pinned():
     assert corpus_digest(synth_multiparallel(4, 12, seed=3)) == (
         "e8e0d4214119f89a86977a45003638be7a7a48feb66e9742eb9627f3e59431f6"
     )
+    # recorded when a bilingual corpus became two columns, hashed in the same layout
     assert corpus_digest(synth_bilingual(12, seed=3)) == (
-        "ecdee6648e2878ec127da3973778bd305a2a75e0f7f4134e1c92658d9d299867"
+        "05de067798050ac9a76571fa42296795a6f82a84ef20f71c007161b881d27ae1"
     )
 
 

@@ -218,5 +218,7 @@ def test_schedule_validation():
         policy_from_dict({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "mean_span": True})
     with pytest.raises(ValidationError, match="frac must be a float"):
         policy_from_dict({"kind": "mix", "total_steps": 10, "frac": "0.5"})
+    with pytest.raises(ValidationError, match="kind must be a str, got 5"):
+        policy_from_dict({"kind": 5, "total_steps": 10})
     assert type(policy_from_dict({"kind": "mix", "total_steps": 10, "frac": 1}).frac) is float
     assert mask_preset("mask4", 10).mean_span == 3
