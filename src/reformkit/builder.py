@@ -18,7 +18,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,11 +46,10 @@ from .reformulate import (
 from .schedule import (
     MASK_PRESETS,
     SchedulePolicy,
-    cast_scalar,
+    decode,
     mask_preset,
     mix,
     policy_at,
-    policy_from_dict,
     policy_to_dict,
 )
 from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_prefix
@@ -64,8 +63,6 @@ REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_P
 
 _SPLITS = ("train", "valid", "test")
 _SHARD_NAME = re.compile(r"(train|valid|test)-[0-9]{5,}\.jsonl")
-
-_NESTED = {"fmt": ScaffoldFormat, "seg": Segmenter}
 
 
 @dataclass(frozen=True)
@@ -137,49 +134,23 @@ class BuildConfig:
         return mix(1.0, T)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
         schedule = self.effective_schedule()
-        out["schedule"] = None if schedule is None else policy_to_dict(schedule)
-        out["fmt"] = asdict(self.fmt)
-        out["seg"] = asdict(self.seg)
-        out["split_fracs"] = list(self.split_fracs)
-        return out
+        return {
+            **asdict(self),
+            "schedule": None if schedule is None else policy_to_dict(schedule),
+            "split_fracs": list(self.split_fracs),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "BuildConfig":
-        """Inverse of ``to_dict``; absent or null keys take the field default."""
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        for f in fields(cls):
-            value = data.get(f.name)
-            if value is None:
-                if f.default is MISSING and f.default_factory is MISSING:
-                    raise ValidationError(f"config missing required key: {f.name}")
-                continue
-            if f.name in ("fmt", "seg", "schedule") and not isinstance(value, dict):
-                raise ValidationError(f"config key {f.name} must be an object")
-            if f.name == "split_fracs" and not isinstance(value, list):
-                raise ValidationError("config key split_fracs must be a list")
-            try:
-                if f.name in _NESTED:
-                    value = _NESTED[f.name](**{k: v for k, v in value.items() if v is not None})
-                elif f.name == "split_fracs":
-                    value = tuple(cast_scalar(f.name, "float", x) for x in value)
-                else:
-                    # annotations are strings under postponed evaluation
-                    value = cast_scalar(f.name, f.type, value)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"config key {f.name}: {exc}") from exc
-            kwargs[f.name] = value
-        schedule = kwargs.pop("schedule", None)
-        cfg = cls(**kwargs)
-        if schedule is None:
+        """Inverse of ``to_dict``, through ``schedule.decode``. A stored
+        ``schedule.total_steps`` is checked and then re-derived at build
+        time; an absent one is taken from ``n_train`` and ``batch_size``."""
+        cfg = decode(cls, {**data, "schedule": None})
+        if data.get("schedule") is None:
             return cfg
-        # the stored total_steps is re-derived at build time; take it from
-        # the validated n_train and batch_size
-        return replace(cfg, schedule=policy_from_dict({"total_steps": cfg.total_steps, **schedule}))
+        schedule = decode(SchedulePolicy, data["schedule"], "schedule", total_steps=cfg.total_steps)
+        return replace(cfg, schedule=schedule)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,24 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .analysis import breakdown, pretrain_scatter, scatter_tsv
 from .builder import BuildConfig, batch_plan, build, sample_pairs, stats, stats_from_counts
-from .corpus import load_bilingual, load_manifest, load_multiparallel, read_utf8, write_multiparallel
+from .corpus import (
+    load_bilingual,
+    load_manifest,
+    load_multiparallel,
+    read_lines,
+    read_utf8,
+    write_multiparallel,
+)
 from .errors import ReformkitError, UsageError, ValidationError
 from .metrics import DirectionScore, ScoreConfig, chrfpp, score, score_direction
 from .schedule import (
-    curriculum1,
-    curriculum2,
-    curriculum3,
+    MASK_PRESETS,
+    SchedulePolicy,
     curve_tsv,
     mask_preset,
     mix,
@@ -103,10 +109,6 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, ensure_ascii=False))
 
 
-def _read_lines(path: str) -> list[str]:
-    return read_utf8(path).splitlines()
-
-
 def _load_corpus(path: str, task: str, fmt: str | None):
     p = Path(path)
     if task == "multiparallel":
@@ -127,23 +129,12 @@ def _cmd_build(args) -> int:
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
         config.update(loaded)
-    overrides = {
-        "task": args.task,
-        "reform": args.reform,
-        "n_train": args.n_train,
-        "n_valid": args.n_valid,
-        "n_test": args.n_test,
-        "batch_size": args.batch_size,
-        "max_len": args.max_len,
-        "shard_size": args.shard_size,
-        "pivot": args.pivot,
-    }
-    for key, value in overrides.items():
+    # a flag overrides the config field its argparse dest names
+    for f in fields(BuildConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            config[key] = value
-    if args.seed is not None:
-        config["seed"] = args.seed
-    elif "seed" not in config:
+            config[f.name] = value
+    if "seed" not in config:
         env = _env_seed()
         if env is not None:
             config["seed"] = env
@@ -170,15 +161,12 @@ def _cmd_sample(args) -> int:
 
 
 def _schedule_policy(args):
-    if args.preset:
-        named = {
-            "curriculum1": curriculum1,
-            "curriculum2": curriculum2,
-            "curriculum3": curriculum3,
-        }
-        if args.preset in named:
-            return named[args.preset](args.steps)
+    if args.preset in ("curriculum1", "curriculum2", "curriculum3"):
+        return SchedulePolicy(args.preset, args.steps)
+    if args.preset in MASK_PRESETS:
         return mask_preset(args.preset, args.steps)
+    if args.preset:
+        raise UsageError(f"unknown schedule preset: {args.preset!r} (curriculum1..3 or mask1..4)")
     if args.kind == "window_first":
         if args.frac is None:
             raise UsageError("--kind window_first needs --frac")
@@ -208,8 +196,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    # without the CR of a CRLF ending
+    hyps = [line.removesuffix("\r") for line in read_lines(args.hyp)]
+    refs = [line.removesuffix("\r") for line in read_lines(args.ref)]
     cfg = ScoreConfig(
         metric=args.metric,
         smoothing=args.smoothing,
@@ -235,10 +224,10 @@ def _cmd_stats(args) -> int:
 
 def _read_direction_scores(path: str) -> list[DirectionScore]:
     scores = []
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.startswith("src\t"):
             continue
-        cols = line.split("\t")
+        cols = line.removesuffix("\r").split("\t")
         if len(cols) != 4:
             raise ValidationError(f"{path}: line {lineno}: expected src, tgt, value, n")
         try:

@@ -224,6 +224,16 @@ def read_utf8(path: str | Path) -> str:
         raise _utf8_error(path) from None
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 file. Only LF ends a line (``str.splitlines``
+    also splits at U+2028, U+0085, form feed and a lone CR); the CR of a
+    CRLF ending stays on the line, and an empty file has no lines."""
+    lines = read_utf8(path).split("\n")
+    if not lines[-1]:  # after the final LF, or an empty file
+        lines.pop()
+    return lines
+
+
 @contextmanager
 def open_utf8(path: str | Path) -> Iterator[TextIO]:
     """``Path.open`` in UTF-8 for reading, failing with a ValidationError.
@@ -320,8 +330,8 @@ def load_manifest(path: str | Path) -> list[Language]:
         if not isinstance(code, str) or not code:
             raise ValidationError(f"{path}: entry {index}: code must be a nonempty string, got {code!r}")
         try:
-            in_pretrain = cast_scalar("in_pretrain", "bool", entry.get("in_pretrain", False))
-            pretrain_size = cast_scalar("pretrain_size", "int", entry.get("pretrain_size", 0))
+            in_pretrain = cast_scalar("in_pretrain", bool, entry.get("in_pretrain", False))
+            pretrain_size = cast_scalar("pretrain_size", int, entry.get("pretrain_size", 0))
         except ValidationError as exc:
             raise ValidationError(f"{path}: entry {index}: {exc}") from None
         langs.append(Language(code, in_pretrain, pretrain_size))
@@ -357,10 +367,7 @@ def load_multiparallel(
         lang_file = directory / f"{lang.code}.txt"
         if not lang_file.exists():
             raise ValidationError(f"missing language file: {lang_file}")
-        lines = read_utf8(lang_file).split("\n")  # not splitlines: it also splits at U+2028
-        if not lines[-1]:  # after the final LF, or an empty file
-            lines.pop()
-        texts = [_clean(raw) for raw in lines]
+        texts = [_clean(raw) for raw in read_lines(lang_file)]
         if not all(texts):
             raise ValidationError(f"{lang_file}: line {texts.index('') + 1}: empty sentence")
         if expected is None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
 from .reformulate import check_span_rate
@@ -256,35 +257,58 @@ def policy_to_dict(policy: SchedulePolicy) -> dict:
     return out
 
 
-def cast_scalar(name: str, annotation: str, value):
+def cast_scalar(name: str, annotation, value):
     """``value`` checked against the scalar type a config field declares:
     an int but not a bool for ``int``, any int or float (returned as a float)
     for ``float``, only a bool for ``bool``, only a string for ``str``. Other
     annotations pass through."""
-    if annotation == "str":
+    if annotation is str:
         ok = isinstance(value, str)
-    elif annotation == "bool":
+    elif annotation is bool:
         ok = isinstance(value, bool)
-    elif annotation == "int":
+    elif annotation is int:
         ok = isinstance(value, int) and not isinstance(value, bool)
-    elif annotation == "float":
+    elif annotation is float:
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
         return value
     if not ok:
-        article = "an" if annotation == "int" else "a"
-        raise ValidationError(f"{name} must be {article} {annotation}, got {value!r}")
-    return float(value) if annotation == "float" else value
+        article = "an" if annotation is int else "a"
+        raise ValidationError(f"{name} must be {article} {annotation.__name__}, got {value!r}")
+    return float(value) if annotation is float else value
 
 
-def policy_from_dict(data: dict) -> SchedulePolicy:
-    declared = {f.name: f.type for f in fields(SchedulePolicy)}
-    unknown = set(data) - set(declared)
+def decode(cls, data, where: str = "config", **given):
+    """The dataclass ``cls`` built from the JSON object ``data``.
+
+    A null value counts as absent, an absent key takes the field default
+    and ``given`` fills keys that ``data`` lacks. Scalars go through
+    ``cast_scalar``, a dataclass field (also ``X | None``) decodes
+    recursively from an object, and a tuple field takes a list whose items
+    are cast one by one. ``where`` names this level in the messages.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"config key {where} must be an object")
+    values = {**given, **{key: value for key, value in data.items() if value is not None}}
+    declared = fields(cls)
+    unknown = set(values) - {f.name for f in declared}
     if unknown:
-        raise ValidationError(f"unknown schedule keys: {sorted(unknown)}")
-    missing = {"kind", "total_steps"} - set(data)
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+    required = {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING}
+    missing = sorted(required - set(values))
     if missing:
-        raise ValidationError(f"schedule config missing keys: {sorted(missing)}")
-    return SchedulePolicy(
-        **{name: cast_scalar(name, declared[name], value) for name, value in data.items()}
-    )
+        raise ValidationError(f"{where} missing required keys: {missing}")
+    hints = get_type_hints(cls)  # annotations are strings under postponed evaluation
+    return cls(**{name: _decode_field(name, hints[name], value) for name, value in values.items()})
+
+
+def _decode_field(name: str, hint, value):
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"config key {name} must be a list")
+        return tuple(cast_scalar(name, args[0], item) for item in value)
+    nested = [t for t in (hint, *args) if is_dataclass(t)]
+    if nested:
+        return decode(nested[0], value, name)
+    return cast_scalar(name, hint, value)

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import read_utf8
+from .corpus import read_lines
 from .errors import UsageError, ValidationError
 
 KIND_UNICODE_WORDS = "unicode_words"
@@ -107,9 +107,9 @@ def count_units(s: str, seg: Segmenter | None = None) -> int:
 
 
 def read_sidecar_counts(path: str | Path) -> list[int]:
-    """Read one integer per line, aligned with corpus line numbers."""
+    """Read one integer per LF-ended line, aligned with corpus line numbers."""
     counts: list[int] = []
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), 1):
+    for lineno, raw in enumerate(read_lines(path), 1):
         value = raw.strip()
         if not value:
             raise ValidationError(f"{path}: line {lineno}: empty count")

@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reformkit.builder
 import reformkit.corpus
@@ -33,9 +34,18 @@ from reformkit.corpus import (
     write_multiparallel,
 )
 from reformkit.errors import ValidationError
-from reformkit.schedule import curriculum1, mix, window_first
+from reformkit.reformulate import ScaffoldFormat
+from reformkit.schedule import (
+    POLICY_KINDS,
+    SchedulePolicy,
+    curriculum1,
+    decode,
+    mask_window,
+    mix,
+    window_first,
+)
 from reformkit.synth import synth_bilingual, synth_multiparallel
-from reformkit.textseg import Segmenter
+from reformkit.textseg import SEGMENTER_KINDS, Segmenter
 
 
 def _read_examples(out_dir, split="train"):
@@ -611,9 +621,9 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({**data, "batch_size": 0})
     with pytest.raises(ValidationError, match="schedule"):
         BuildConfig.from_dict({**data, "schedule": ["mix"]})
-    with pytest.raises(ValidationError, match="must be strings"):
+    with pytest.raises(ValidationError, match="delimiter must be a str"):
         BuildConfig.from_dict({**data, "fmt": {"delimiter": 5}})
-    with pytest.raises(ValidationError, match="must be strings"):
+    with pytest.raises(ValidationError, match="target_lang_tag_template must be a str"):
         BuildConfig.from_dict({**data, "fmt": {"target_lang_tag_template": ["<2{code}>"]}})
     with pytest.raises(ValidationError, match="seg"):
         BuildConfig.from_dict({**data, "seg": {"kind": "unicode_words", "counts_path": "c.txt"}})
@@ -622,6 +632,103 @@ def test_config_dict_round_trip():
     # configs echoed by older builds carry a null seg.counts_path
     echoed = {**minimal, "seg": {"kind": "whitespace", "counts_path": None}}
     assert BuildConfig.from_dict(echoed).seg == Segmenter("whitespace")
+
+
+
+_fraction = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _schedules(draw, kind):
+    if kind is None:
+        return None
+    if kind == "mask_window":
+        start, end = sorted((draw(_fraction), draw(_fraction)))
+        p = draw(st.floats(0.01, 0.49))
+        return mask_window(start, end, p, 1, span=draw(st.booleans()), mean_span=draw(st.integers(1, 9)))
+    if kind in ("window_first", "mix"):
+        return SchedulePolicy(kind, 1, frac=draw(_fraction))
+    return SchedulePolicy(kind, 1)
+
+
+@st.composite
+def _configs(draw):
+    batch_size = draw(st.integers(1, 1000))
+    return BuildConfig(
+        task=draw(st.sampled_from(("bilingual", "multiparallel"))),
+        reform=draw(st.sampled_from(REFORM_KINDS)),
+        n_train=batch_size * draw(st.integers(1, 50)) + draw(st.integers(0, batch_size - 1)),
+        batch_size=batch_size,
+        seed=draw(st.integers(-(2**40), 2**40)),
+        schedule=draw(_schedules(draw(st.sampled_from(POLICY_KINDS + (None,))))),
+        n_valid=draw(st.integers(0, 100)),
+        max_len=draw(st.integers(1, 512)),
+        pivot=draw(st.text(min_size=1, max_size=8)),
+        fmt=draw(st.sampled_from((ScaffoldFormat(), ScaffoldFormat(" | ", "<2{code}> ")))),
+        seg=Segmenter(draw(st.sampled_from(SEGMENTER_KINDS))),
+        split_fracs=(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.25)), draw(st.floats(0.0, 0.25))),
+        front_share=draw(_fraction),
+        mean_span=draw(st.integers(1, 9)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_config_json_round_trip(cfg):
+    data = cfg.to_dict()
+    assert BuildConfig.from_dict(json.loads(json.dumps(data))).to_dict() == data
+
+
+def test_config_codec_rules_at_each_level():
+    minimal = {"task": "bilingual", "reform": "pose", "n_train": 10, "batch_size": 5}
+    # null means absent, at every level, and an absent key takes its default
+    nulls = {
+        **minimal,
+        "seed": None,
+        "bogus": None,
+        "fmt": {"delimiter": None, "bogus": None},
+        "seg": {"kind": None, "counts_path": None},
+    }
+    assert BuildConfig.from_dict(nulls) == BuildConfig(**minimal)
+    schedule = {"kind": "mix", "total_steps": None, "frac": None, "bogus": None}
+    assert BuildConfig.from_dict({**minimal, "schedule": schedule}).schedule == mix(0.0, 2)
+    # an unknown key names its level
+    for level, data in (
+        ("config", {**minimal, "bogus": 1}),
+        ("schedule", {**minimal, "schedule": {"kind": "mix", "bogus": 1}}),
+        ("fmt", {**minimal, "fmt": {"bogus": 1}}),
+        ("seg", {**minimal, "seg": {"bogus": 1}}),
+    ):
+        with pytest.raises(ValidationError) as err:
+            BuildConfig.from_dict(data)
+        assert str(err.value) == f"unknown {level} keys: ['bogus']"
+    with pytest.raises(ValidationError) as err:
+        BuildConfig.from_dict({"task": "bilingual", "reform": "pose"})
+    assert str(err.value) == "config missing required keys: ['batch_size', 'n_train']"
+    with pytest.raises(ValidationError) as err:
+        BuildConfig.from_dict({**minimal, "schedule": {"frac": 0.5}})
+    assert str(err.value) == "schedule missing required keys: ['kind']"
+    # a wrongly typed scalar reads the same at every level
+    for data, message in (
+        ({**minimal, "seed": "1"}, "seed must be an int, got '1'"),
+        ({**minimal, "schedule": {"kind": "mix", "frac": "0.5"}}, "frac must be a float, got '0.5'"),
+        ({**minimal, "fmt": {"delimiter": 5}}, "delimiter must be a str, got 5"),
+        ({**minimal, "seg": {"kind": 5}}, "kind must be a str, got 5"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            BuildConfig.from_dict(data)
+        assert str(err.value) == message
+    # a stored total_steps is checked, then re-derived at build time
+    with pytest.raises(ValidationError, match="total_steps must be >= 1"):
+        BuildConfig.from_dict({**minimal, "schedule": {"kind": "mix", "total_steps": 0}})
+    stored = BuildConfig.from_dict({**minimal, "schedule": {"kind": "mix", "total_steps": 7}})
+    assert stored.effective_schedule().total_steps == 2
+    # a list field is cast item by item and never truncated
+    with pytest.raises(ValidationError, match="three nonnegative fractions"):
+        BuildConfig.from_dict({**minimal, "split_fracs": [0.5, 0.2, 0.1, 0.1]})
+    # decode alone also reads an optional dataclass field
+    nested = decode(BuildConfig, {**minimal, "schedule": {"kind": "mix", "total_steps": 3, "frac": 0.5}})
+    assert nested.schedule == mix(0.5, 3)
 
 
 # SHA-256 of the train shard of each (reform, max_len) build below, recorded

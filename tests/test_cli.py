@@ -151,6 +151,24 @@ def test_build_seed_from_environment(tmp_path, multi_corpus, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 5
 
 
+def test_build_seed_and_field_precedence(tmp_path, multi_corpus, monkeypatch):
+    # flag > config file > REFORMKIT_SEED > 0, and a flag overrides its config field
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(
+        json.dumps({"task": "multiparallel", "reform": "none", "n_train": 100, "batch_size": 50, "seed": 3}),
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("REFORMKIT_SEED", "77")
+    base = ["build", "--corpus", str(multi_corpus), "--config", str(cfg_file)]
+    for i, (extra, seed, n_train) in enumerate(
+        ((["--n-train", "150"], 3, 150), (["--seed", "5"], 5, 100))
+    ):
+        code, out, err = run_cli(base + ["--out", str(tmp_path / f"b{i}")] + extra)
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert (config["seed"], config["n_train"]) == (seed, n_train)
+
+
 # ---------------------------------------------------------------- sample
 
 
@@ -211,6 +229,29 @@ def test_score_copy_is_100(tmp_path):
     payload = json.loads(out)
     assert payload["value"] == 100.0
     assert payload["n"] == 2
+
+
+def test_score_lines_split_at_lf_only(tmp_path):
+    hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
+    hyp.write_text("the cat\u2028sat\nhello\n", encoding="utf-8")
+    ref.write_text("the cat sat\nhello\n", encoding="utf-8")
+    code, out, err = run_cli(["score", "--metric", "chrfpp", "--hyp", str(hyp), "--ref", str(ref)])
+    assert code == 0, err
+    assert json.loads(out)["n"] == 2
+
+
+def test_score_crlf_equals_lf(tmp_path):
+    ref = tmp_path / "r.txt"
+    ref.write_text("the cat sat\nhello there\n", encoding="utf-8")
+    outs = []
+    for name, data in (("lf", b"the cat sit\nhello\n"), ("crlf", b"the cat sit\r\nhello\r\n")):
+        hyp = tmp_path / f"{name}.txt"
+        hyp.write_bytes(data)
+        for metric in ("bleu", "chrfpp"):
+            code, out, _ = run_cli(["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref)])
+            assert code == 0
+            outs.append(out)
+    assert outs[:2] == outs[2:]
 
 
 def test_score_bleu_smoothing_flags(tmp_path):
@@ -380,6 +421,12 @@ def test_score_non_utf8_reference_exits_1(tmp_path):
     ref.write_bytes(b"a b\nc \xff\n")
     result = run_cli(["score", "--metric", "chrfpp", "--hyp", str(hyp), "--ref", str(ref)])
     _assert_not_utf8_error(result, ref, 2)
+
+
+def test_unknown_schedule_preset_exits_2():
+    code, out, err = run_cli(["schedule", "--preset", "warmup", "--steps", "10"])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown schedule preset: 'warmup' (curriculum1..3 or mask1..4)\n"
 
 
 def test_missing_frac_exits_2():

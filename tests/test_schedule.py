@@ -15,13 +15,13 @@ from reformkit.schedule import (
     curriculum2,
     curriculum3,
     curve_tsv,
+    decode,
     dump_curve,
     fixed,
     mask_preset,
     mask_window,
     mix,
     policy_at,
-    policy_from_dict,
     policy_to_dict,
     window_first,
 )
@@ -170,6 +170,10 @@ def test_fractions_always_in_unit_interval(kind, total, data):
         assert 0.0 <= sp.prefix_law.value <= 1.0
 
 
+def decode_schedule(data):
+    return decode(SchedulePolicy, data, "schedule")
+
+
 def test_policy_dict_round_trip():
     policies = [
         window_first(0.2, 100),
@@ -180,7 +184,7 @@ def test_policy_dict_round_trip():
         mask_window(0.5, 1.0, 0.25, 100, span=True, mean_span=4),
     ]
     for p in policies:
-        assert policy_from_dict(policy_to_dict(p)) == p
+        assert decode_schedule(policy_to_dict(p)) == p
 
 
 def test_prefix_law_draw():
@@ -206,19 +210,19 @@ def test_schedule_validation():
         mask_window(0.0, 1.0, 0.9, 10, span=True, mean_span=1)
     mask_window(0.0, 1.0, 0.9, 10, span=False, mean_span=1)
     with pytest.raises(ValidationError, match="fraction"):
-        policy_from_dict({"kind": "window_first", "total_steps": 10, "fraction": 0.5})
+        decode_schedule({"kind": "window_first", "total_steps": 10, "fraction": 0.5})
     with pytest.raises(ValidationError, match="missing"):
-        policy_from_dict({"kind": "mix", "frac": 0.5})
+        decode_schedule({"kind": "mix", "frac": 0.5})
     # bool("false") is true: span takes only a bool
     with pytest.raises(ValidationError, match="span must be a bool"):
-        policy_from_dict({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "span": "false"})
+        decode_schedule({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "span": "false"})
     with pytest.raises(ValidationError, match="total_steps must be an int"):
-        policy_from_dict({"kind": "mix", "total_steps": 10.5, "frac": 0.5})
+        decode_schedule({"kind": "mix", "total_steps": 10.5, "frac": 0.5})
     with pytest.raises(ValidationError, match="mean_span must be an int"):
-        policy_from_dict({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "mean_span": True})
+        decode_schedule({"kind": "mask_window", "total_steps": 10, "end_frac": 1.0, "mean_span": True})
     with pytest.raises(ValidationError, match="frac must be a float"):
-        policy_from_dict({"kind": "mix", "total_steps": 10, "frac": "0.5"})
+        decode_schedule({"kind": "mix", "total_steps": 10, "frac": "0.5"})
     with pytest.raises(ValidationError, match="kind must be a str, got 5"):
-        policy_from_dict({"kind": 5, "total_steps": 10})
-    assert type(policy_from_dict({"kind": "mix", "total_steps": 10, "frac": 1}).frac) is float
+        decode_schedule({"kind": 5, "total_steps": 10})
+    assert type(decode_schedule({"kind": "mix", "total_steps": 10, "frac": 1}).frac) is float
     assert mask_preset("mask4", 10).mean_span == 3

@@ -211,6 +211,15 @@ def test_sidecar_counts(tmp_path):
     assert read_sidecar_counts(path) == [3, 14, 7]
 
 
+def test_sidecar_counts_split_at_lf_only(tmp_path):
+    # a form feed is whitespace inside the line, not a line break
+    path = tmp_path / "counts.txt"
+    path.write_text("3\n\f4\n", encoding="utf-8")
+    assert read_sidecar_counts(path) == [3, 4]
+    path.write_bytes(b"3\r\n4")
+    assert read_sidecar_counts(path) == [3, 4]
+
+
 def test_sidecar_counts_rejects_garbage(tmp_path):
     path = tmp_path / "counts.txt"
     path.write_text("3\nnope\n", encoding="utf-8")
