@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Language
 from .errors import ValidationError
-from .metrics import DirectionScore
+from .metrics import DirectionScore, check_distinct_directions
 
 DEFAULT_ENGLISH = "eng_Latn"
 
@@ -88,6 +88,7 @@ def breakdown(
     """
     if not scores:
         raise ValidationError("no direction scores to break down")
+    check_distinct_directions(scores)
     meta = _lang_map(langs)
     cells: dict[str, list[float]] = {
         "in_in": [],
@@ -172,6 +173,7 @@ def pretrain_scatter(
     """
     if direction not in ("from_lang", "into_lang"):
         raise ValidationError(f"unknown scatter direction: {direction!r}")
+    check_distinct_directions(scores)
     meta = _lang_map(langs)
     grouped: dict[str, list[float]] = {}
     for s in scores:

@@ -25,7 +25,14 @@ from .corpus import (
     write_multiparallel,
 )
 from .errors import ReformkitError, UsageError, ValidationError
-from .metrics import DirectionScore, ScoreConfig, chrfpp, score, score_direction
+from .metrics import (
+    DirectionScore,
+    ScoreConfig,
+    chrfpp,
+    first_duplicate_direction,
+    score,
+    score_direction,
+)
 from .schedule import (
     MASK_PRESETS,
     SchedulePolicy,
@@ -224,6 +231,7 @@ def _cmd_stats(args) -> int:
 
 def _read_direction_scores(path: str) -> list[DirectionScore]:
     scores = []
+    linenos = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.startswith("src\t"):
             continue
@@ -234,7 +242,18 @@ def _read_direction_scores(path: str) -> list[DirectionScore]:
             value, n = float(cols[2]), int(cols[3])
         except ValueError as exc:
             raise ValidationError(f"{path}: line {lineno}: value and n must be numbers") from exc
-        scores.append(DirectionScore(cols[0], cols[1], value, n))
+        try:
+            scores.append(DirectionScore(cols[0], cols[1], value, n))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+        linenos.append(lineno)
+    duplicate = first_duplicate_direction(scores)
+    if duplicate is not None:
+        i, j = duplicate
+        raise ValidationError(
+            f"{path}: line {linenos[j]}: duplicate direction {scores[j].src}-{scores[j].tgt}, "
+            f"first on line {linenos[i]}"
+        )
     return scores
 
 

@@ -201,3 +201,20 @@ def test_scatter_tsv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "language\tpretrain_size\tmean_score\tn_directions"
     assert lines[1] == "aaa\t100\t12.500000\t1"
+
+
+def test_duplicate_directions_are_rejected():
+    scores = [
+        DirectionScore("aaa", "bbb", 10.0, 5),
+        DirectionScore("bbb", "aaa", 50.0, 5),
+        DirectionScore("aaa", "bbb", 90.0, 5),
+    ]
+    langs = [Language("aaa", pretrain_size=100), Language("bbb", pretrain_size=200)]
+    assert breakdown(scores[:2], langs).avg.n == 2
+    for call in (
+        lambda: breakdown(scores, langs),
+        lambda: pretrain_scatter(scores, langs, "from_lang"),
+        lambda: pretrain_scatter(scores, langs, "into_lang"),
+    ):
+        with pytest.raises(ValidationError, match="duplicate direction: aaa-bbb"):
+            call()

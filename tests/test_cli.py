@@ -471,6 +471,31 @@ def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):
     assert err.startswith("error:") and where in err
 
 
+_ROW_ERRORS = [
+    ("aaa_Latn\taaa_Latn\t10.0\t5\n", "line 2: direction must have distinct languages"),
+    ("aaa_Latn\tbbb_Latn\tnan\t5\n", "line 2: score nan outside [0, 100]"),
+    ("aaa_Latn\tbbb_Latn\t100.5\t5\n", "line 2: score 100.5 outside [0, 100]"),
+    ("aaa_Latn\tbbb_Latn\t-1\t5\n", "line 2: score -1.0 outside [0, 100]"),
+    ("aaa_Latn\tbbb_Latn\t10.0\t0\n", "line 2: n_sentences must be >= 1"),
+    (
+        "aaa_Latn\tbbb_Latn\t10.0\t5\nbbb_Latn\taaa_Latn\t50.0\t5\naaa_Latn\tbbb_Latn\t90.0\t5\n",
+        "line 4: duplicate direction aaa_Latn-bbb_Latn, first on line 2",
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, message", _ROW_ERRORS)
+def test_analyze_row_errors_name_file_and_line(tmp_path, rows, message):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("src\ttgt\tvalue\tn\n" + rows, encoding="utf-8")
+    (tmp_path / "langs.json").write_text('[{"code": "aaa_Latn"}, {"code": "bbb_Latn"}]', encoding="utf-8")
+    code, out, err = run_cli(
+        ["analyze", "--scores", str(scores), "--langs", str(tmp_path / "langs.json")]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {scores}: {message}\n"
+
+
 def run_python(argv, stdout=subprocess.PIPE, timeout=None):
     """Run a child Python on the ``reformkit`` package this process imported.
 

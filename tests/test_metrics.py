@@ -18,9 +18,11 @@ from reformkit.errors import ValidationError
 from reformkit.metrics import (
     DirectionScore,
     ScoreConfig,
+    _add_order_stats,
     average_directions,
     bleu,
     chrfpp,
+    first_duplicate_direction,
     score,
     score_direction,
 )
@@ -209,6 +211,70 @@ def test_bleu_matches_oracle_on_rich_corpora(pairs, max_ngram):
     assert bleu(hyps, refs, cfg) == pytest.approx(expected, abs=1e-9)
 
 
+def _clip_branch(hseq, n):
+    hg = _grams(hseq, n)
+    return "hyp distinct" if len(set(hg)) == len(hg) else "hyp repeats"
+
+
+def _brute_order_stats(hseq, rseq, max_n):
+    stats = []
+    for n in range(1, max_n + 1):
+        hg, rg = _grams(hseq, n), _grams(rseq, n)
+        matched = sum(min(hg.count(g), rg.count(g)) for g in set(hg))
+        stats.append([matched, len(hg), len(rg)])
+    return stats
+
+
+# Each case takes the named branch at order 2, for character and for word
+# grams alike; of the cases where the hypothesis repeats a gram, the first two
+# have distinct reference grams. "aaaa" against "aaa" overlaps itself: both
+# sides repeat "aa", and at order 3 only the hypothesis repeats "aaa".
+@pytest.mark.parametrize(
+    "hyp, ref, branch",
+    [
+        ("a b c d", "a b a b", "hyp distinct"),
+        ("a b c d a", "a b a b c d", "hyp distinct"),
+        ("a b a b", "a b c d", "hyp repeats"),
+        ("c a b a b", "a b c", "hyp repeats"),
+        ("a a a a", "a a a", "hyp repeats"),
+        ("a b a b a", "b a b a b a", "hyp repeats"),
+    ],
+)
+def test_clipped_matches_equal_brute_force_on_every_branch(hyp, ref, branch):
+    for hseq, rseq, max_n in (
+        ("".join(hyp.split()), "".join(ref.split()), 7),
+        (hyp.split(), ref.split(), 5),
+    ):
+        assert _clip_branch(hseq, 2) == branch
+        stats = [[0, 0, 0] for _ in range(max_n)]
+        _add_order_stats(stats, hseq, rseq)
+        assert stats == _brute_order_stats(hseq, rseq, max_n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_metrics_match_oracles_over_tiny_alphabets(data):
+    # Two or three letters make repeated and self-overlapping grams common,
+    # so every clipping branch runs at every order.
+    alphabet = data.draw(st.sampled_from(["ab", "abc"]))
+    sentence = st.lists(st.text(alphabet, min_size=1, max_size=4), max_size=8).map(" ".join)
+    pairs = data.draw(st.lists(st.tuples(sentence, sentence), min_size=1, max_size=4))
+    char_n = data.draw(st.integers(1, 7))
+    word_n = data.draw(st.integers(0, 3))
+    max_ngram = data.draw(st.integers(1, 5))
+    hyps = [h for h, _ in pairs]
+    refs = [r for _, r in pairs]
+    cfg = ScoreConfig(char_n=char_n, word_n=word_n)
+    expected = oracle_chrfpp(hyps, refs, char_n=char_n, word_n=word_n)
+    assert chrfpp(hyps, refs, cfg) == pytest.approx(expected, abs=1e-9)
+    for add_k in (None, 1):
+        cfg = ScoreConfig(
+            metric="bleu", max_ngram=max_ngram, smoothing="none" if add_k is None else "add_k"
+        )
+        expected = oracle_bleu(hyps, refs, max_ngram=max_ngram, add_k=add_k)
+        assert bleu(hyps, refs, cfg) == pytest.approx(expected, abs=1e-9)
+
+
 def _pinned_directions():
     """Two directions of a seeded synthetic corpus: references in the target
     language, hypotheses with words dropped or taken from the source."""
@@ -343,3 +409,14 @@ def test_average_directions_rejects_duplicates():
         average_directions(scores)
     with pytest.raises(ValidationError):
         average_directions([])
+
+
+def test_first_duplicate_direction_names_both_scores():
+    scores = [
+        DirectionScore("aaa", "bbb", 10.0, 5),
+        DirectionScore("bbb", "aaa", 50.0, 5),
+        DirectionScore("bbb", "ccc", 20.0, 5),
+    ]
+    assert first_duplicate_direction(scores) is None
+    scores += [DirectionScore("bbb", "ccc", 30.0, 5), DirectionScore("aaa", "bbb", 90.0, 5)]
+    assert first_duplicate_direction(scores) == (2, 3)
