@@ -203,18 +203,18 @@ def sample_pairs(
 
 def _truncate_parts(
     parts: tuple[str, ...], max_len: int, seg: Segmenter, fmt: ScaffoldFormat
-) -> tuple[str, tuple[str, ...], bool, int]:
-    """Trim scaffold parts from the right, then the base, until the joined
-    input fits in max_len units. The base always keeps at least one unit;
-    the target side is never touched by construction. Also returns the
-    unit count of the joined input."""
+) -> tuple[str, bool, int]:
+    """Trim nonempty scaffold parts from the right, then the base, until the
+    joined input fits in max_len units. The base always keeps at least one
+    unit; the target side is never touched by construction. Returns the
+    joined input, whether it was trimmed, and its unit count."""
     truncated = False
     while True:
-        joined = fmt.delimiter.join(p for p in parts if p)
+        joined = fmt.delimiter.join(parts)
         n_units = count_units(joined, seg)
         over = n_units - max_len
         if over <= 0:
-            return joined, parts, truncated, n_units
+            return joined, truncated, n_units
         truncated = True
         for idx in range(len(parts) - 1, -1, -1):
             part_seg = segment(parts[idx], seg)
@@ -225,7 +225,7 @@ def _truncate_parts(
                 parts = parts[:idx] + ((new_part,) if new_part else ()) + parts[idx + 1 :]
                 break
         else:  # base is down to one unit; nothing left to trim
-            return joined, parts, truncated, n_units
+            return joined, truncated, n_units
 
 
 def _draw_aux(rng, codes: Sequence[str], src: str, tgt: str) -> list[str]:
@@ -314,31 +314,25 @@ def _build_example(
     else:  # mask presets scaffold nothing; masking happens below
         out = baseline(example, cfg.fmt)
 
-    input_text, parts, truncated, input_units = _truncate_parts(
-        out.input_parts or (out.input_text,), cfg.max_len, cfg.seg, cfg.fmt
+    input_text, truncated, input_units = _truncate_parts(
+        out.input_parts, cfg.max_len, cfg.seg, cfg.fmt
     )
-    tag = out.tag
-    meta = dict(out.meta)
 
     if reform_on and step_policy is not None and step_policy.mask is not None:
-        interim = ReformulatedExample(input_text, out.target_text, tag, meta, parts)
+        interim = ReformulatedExample(input_text, out.target_text, out.tag, out.meta)
         mask_cfg = step_policy.mask
         if mask_cfg.span:
-            masked = span_mask(interim, mask_cfg.p, mask_cfg.mean_span, rng(), cfg.seg)
+            out = span_mask(interim, mask_cfg.p, mask_cfg.mean_span, rng(), cfg.seg)
         else:
-            masked = mask_tokens(interim, mask_cfg.p, rng(), cfg.seg)
-        input_text = masked.input_text
+            out = mask_tokens(interim, mask_cfg.p, rng(), cfg.seg)
+        input_text = out.input_text
         # masking rewrote the input, and a masked span is one unit now
         input_units = count_units(input_text, cfg.seg)
-        tag = masked.tag
-        meta = dict(masked.meta)
 
-    meta["source_lang"] = example.source_lang.code
-    meta["target_lang"] = example.target_lang.code
-    meta["truncated"] = truncated
+    meta = {**out.meta, "source_lang": src_code, "target_lang": tgt_code, "truncated": truncated}
     if step is not None:
         meta["step_index"] = step
-    return {"input": input_text, "target": out.target_text, "tag": tag, "meta": meta}, input_units
+    return {"input": input_text, "target": out.target_text, "tag": out.tag, "meta": meta}, input_units
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))

@@ -316,25 +316,30 @@ def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None
 
 def load_manifest(path: str | Path) -> list[Language]:
     """Read a JSON array of {"code", "in_pretrain", "pretrain_size"}: a
-    nonempty string, a bool and an int (not a bool)."""
+    nonempty string, a bool and an int (not a bool). Each code appears once."""
     from .schedule import cast_scalar  # schedule imports this module
 
     data = json.loads(read_utf8(path))
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{path}: manifest must be a nonempty JSON array")
     langs = []
+    first_at: dict[str, int] = {}
     for index, entry in enumerate(data):
         if not isinstance(entry, dict) or "code" not in entry:
             raise ValidationError(f'{path}: entry {index}: expected an object with a "code" key')
         code = entry["code"]
         if not isinstance(code, str) or not code:
             raise ValidationError(f"{path}: entry {index}: code must be a nonempty string, got {code!r}")
+        if first_at.setdefault(code, index) != index:
+            raise ValidationError(
+                f"{path}: entry {index}: duplicate code {code} (first at entry {first_at[code]})"
+            )
         try:
             in_pretrain = cast_scalar("in_pretrain", bool, entry.get("in_pretrain", False))
             pretrain_size = cast_scalar("pretrain_size", int, entry.get("pretrain_size", 0))
+            langs.append(Language(code, in_pretrain, pretrain_size))
         except ValidationError as exc:
             raise ValidationError(f"{path}: entry {index}: {exc}") from None
-        langs.append(Language(code, in_pretrain, pretrain_size))
     return langs
 
 

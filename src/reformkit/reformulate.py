@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .corpus import Language, SentenceRecord, TranslationExample
@@ -34,9 +34,6 @@ TAGS = (
     TAG_MASK,
     TAG_SPAN_MASK,
 )
-
-DEFAULT_SENTINEL = "<extra_id_{k}>"
-
 
 @dataclass(frozen=True)
 class ScaffoldFormat:
@@ -67,9 +64,9 @@ class ScaffoldFormat:
 class ReformulatedExample:
     """A finished training example plus bookkeeping.
 
-    ``input_parts`` keeps the pre-join pieces (base input, then scaffold
-    pieces) so later length trimming can drop scaffold material without
-    re-parsing the joined string.
+    ``input_parts`` keeps the nonempty pre-join pieces (base input, then
+    scaffold pieces) so later length trimming can drop scaffold material
+    without re-parsing the joined string.
     """
 
     input_text: str
@@ -90,28 +87,57 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _join(parts: Sequence[str], fmt: ScaffoldFormat) -> str:
-    return fmt.delimiter.join(part for part in parts if part)
-
-
-def _base_input(ex: TranslationExample, fmt: ScaffoldFormat) -> str:
-    return fmt.tag_for(ex.target_lang) + ex.source_text
+def _scaffolded(
+    ex: TranslationExample,
+    extra: Sequence[str],
+    tag: str,
+    meta: dict,
+    fmt: ScaffoldFormat | None,
+    target_text: str | None = None,
+) -> ReformulatedExample:
+    """The example's base input (target-language tag plus source) followed
+    by the nonempty ``extra`` parts, joined by the format's delimiter. The
+    sentence id, when set, goes into ``meta``."""
+    fmt = fmt or ScaffoldFormat()
+    parts = (fmt.tag_for(ex.target_lang) + ex.source_text, *filter(None, extra))
+    if ex.sentence_id is not None:
+        meta["sentence_id"] = ex.sentence_id
+    return ReformulatedExample(
+        input_text=fmt.delimiter.join(parts),
+        target_text=ex.target_text if target_text is None else target_text,
+        tag=tag,
+        meta=meta,
+        input_parts=parts,
+    )
 
 
 def baseline(ex: TranslationExample, fmt: ScaffoldFormat | None = None) -> ReformulatedExample:
     """Direct translation pair, optionally with a target-language tag."""
-    fmt = fmt or ScaffoldFormat()
-    base = _base_input(ex, fmt)
-    meta: dict = {}
-    if ex.sentence_id is not None:
-        meta["sentence_id"] = ex.sentence_id
-    return ReformulatedExample(
-        input_text=base,
-        target_text=ex.target_text,
-        tag=TAG_BASELINE,
-        meta=meta,
-        input_parts=(base,),
-    )
+    return _scaffolded(ex, (), TAG_BASELINE, {}, fmt)
+
+
+def _target_scaffold(
+    ex: TranslationExample,
+    u: float,
+    r: float,
+    seg: Segmenter | None,
+    fmt: ScaffoldFormat | None,
+    tag: str,
+    meta: dict,
+) -> ReformulatedExample:
+    """``prefix_suffix`` under the given tag and meta."""
+    if not 0.0 <= u <= 1.0:
+        raise ValidationError(f"prefix fraction {u} outside [0, 1]")
+    if not 0.0 <= r <= 1.0:
+        raise ValidationError(f"front share {r} outside [0, 1]")
+    target_seg = segment(ex.target_text, seg)
+    n = len(target_seg.units)
+    k = _round_half_up(u * n)
+    kp = _round_half_up(r * k)
+    ks = min(k - kp, n - kp)
+    front = take_prefix(target_seg, kp)
+    back = take_suffix(target_seg, ks)
+    return _scaffolded(ex, (front, back), tag, meta, fmt)
 
 
 def pose(
@@ -120,25 +146,9 @@ def pose(
     seg: Segmenter | None = None,
     fmt: ScaffoldFormat | None = None,
 ) -> ReformulatedExample:
-    """Append the first round(u * n) target units to the input."""
-    if not 0.0 <= u <= 1.0:
-        raise ValidationError(f"prefix fraction {u} outside [0, 1]")
-    fmt = fmt or ScaffoldFormat()
-    target_seg = segment(ex.target_text, seg)
-    k = _round_half_up(u * len(target_seg.units))
-    scaffold = take_prefix(target_seg, k)
-    base = _base_input(ex, fmt)
-    parts = (base, scaffold) if scaffold else (base,)
-    meta: dict = {"prefix_fraction": u}
-    if ex.sentence_id is not None:
-        meta["sentence_id"] = ex.sentence_id
-    return ReformulatedExample(
-        input_text=_join(parts, fmt),
-        target_text=ex.target_text,
-        tag=TAG_POSE,
-        meta=meta,
-        input_parts=parts,
-    )
+    """Append the first round(u * n) target units to the input: the
+    prefix-suffix scaffold with every unit in front."""
+    return _target_scaffold(ex, u, 1.0, seg, fmt, TAG_POSE, {"prefix_fraction": u})
 
 
 def prefix_suffix(
@@ -153,30 +163,8 @@ def prefix_suffix(
     Total units k = round(u * n) as in pose; round(r * k) of them come from
     the front, the rest from the back, clamped so the two never overlap.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValidationError(f"prefix fraction {u} outside [0, 1]")
-    if not 0.0 <= r <= 1.0:
-        raise ValidationError(f"front share {r} outside [0, 1]")
-    fmt = fmt or ScaffoldFormat()
-    target_seg = segment(ex.target_text, seg)
-    n = len(target_seg.units)
-    k = _round_half_up(u * n)
-    kp = _round_half_up(r * k)
-    ks = min(k - kp, n - kp)
-    front = take_prefix(target_seg, kp)
-    back = take_suffix(target_seg, ks)
-    base = _base_input(ex, fmt)
-    parts = tuple(p for p in (base, front, back) if p)
-    meta: dict = {"prefix_fraction": u, "front_share": r}
-    if ex.sentence_id is not None:
-        meta["sentence_id"] = ex.sentence_id
-    return ReformulatedExample(
-        input_text=_join(parts, fmt),
-        target_text=ex.target_text,
-        tag=TAG_PREFIX_SUFFIX,
-        meta=meta,
-        input_parts=parts,
-    )
+    meta = {"prefix_fraction": u, "front_share": r}
+    return _target_scaffold(ex, u, r, seg, fmt, TAG_PREFIX_SUFFIX, meta)
 
 
 def _record_text(rec: SentenceRecord, lang: Language) -> str:
@@ -212,16 +200,8 @@ def parse_scaffold(
 ) -> ReformulatedExample:
     """``parse_reform`` for an example whose texts are already read."""
     if pivot.code in (ex.source_lang.code, ex.target_lang.code):
-        fallback = baseline(ex, fmt)
-        return replace(fallback, meta={**fallback.meta, "parse_fallback": True})
-    parts = (_base_input(ex, fmt), pivot_text)
-    return ReformulatedExample(
-        input_text=_join(parts, fmt),
-        target_text=ex.target_text,
-        tag=TAG_PARSE,
-        meta={"sentence_id": ex.sentence_id, "scaffold_langs": [pivot.code]},
-        input_parts=parts,
-    )
+        return _scaffolded(ex, (), TAG_BASELINE, {"parse_fallback": True}, fmt)
+    return _scaffolded(ex, (pivot_text,), TAG_PARSE, {"scaffold_langs": [pivot.code]}, fmt)
 
 
 def mips_reform(
@@ -260,23 +240,9 @@ def mips_scaffold(
 ) -> ReformulatedExample:
     """``mips_reform`` for an example whose texts are already read; the
     caller guarantees four distinct languages."""
-    parts = (_base_input(ex, fmt), aux_in_text)
-    return ReformulatedExample(
-        input_text=_join(parts, fmt),
-        target_text=_join((ex.target_text, aux_out_text), fmt),
-        tag=TAG_MIPS,
-        meta={"sentence_id": ex.sentence_id, "scaffold_langs": [aux_in.code, aux_out.code]},
-        input_parts=parts,
-    )
-
-
-def _sentinel(template: str, k: int) -> str:
-    return template.format(k=k)
-
-
-def _check_sentinel(template: str) -> None:
-    if "{k}" not in template:
-        raise ValidationError("sentinel template needs a {k} slot")
+    target_text = fmt.delimiter.join(filter(None, (ex.target_text, aux_out_text)))
+    meta = {"scaffold_langs": [aux_in.code, aux_out.code]}
+    return _scaffolded(ex, (aux_in_text,), TAG_MIPS, meta, fmt, target_text)
 
 
 def _as_reformulated(ex: TranslationExample | ReformulatedExample) -> ReformulatedExample:
@@ -285,12 +251,42 @@ def _as_reformulated(ex: TranslationExample | ReformulatedExample) -> Reformulat
     return ex
 
 
+def _mask_spans(
+    base: ReformulatedExample,
+    units: Sequence[tuple[int, int, int]],
+    spans: Sequence[tuple[int, int]],
+    tag: str,
+    **meta,
+) -> ReformulatedExample:
+    """Collapse each ``(first unit, length)`` span of the input to one
+    sentinel ``<extra_id_{k}>``, numbered from 0 left to right, that keeps
+    the span's trailing separators. Units tile the input, so the text
+    between two spans is one slice of it."""
+    source = base.input_text
+    pieces: list[str] = []
+    pos = n_masked = 0
+    for k, (first, length) in enumerate(spans):
+        _, core_end, end = units[first + length - 1]
+        pieces += (source[pos : units[first][0]], f"<extra_id_{k}>", source[core_end:end])
+        pos = end
+        n_masked += length
+    pieces.append(source[pos:])
+    text = "".join(pieces)
+    realized = n_masked / len(units) if units else 0.0
+    return ReformulatedExample(
+        input_text=text,
+        target_text=base.target_text,
+        tag=tag,
+        meta={**base.meta, "mask_rate": realized, "masked_units": n_masked, **meta},
+        input_parts=(text,),
+    )
+
+
 def mask_tokens(
     ex: TranslationExample | ReformulatedExample,
     p: float,
     rng: random.Random,
     seg: Segmenter | None = None,
-    sentinel_template: str = DEFAULT_SENTINEL,
 ) -> ReformulatedExample:
     """Independently replace each input unit with a sentinel at rate p.
 
@@ -300,29 +296,10 @@ def mask_tokens(
     """
     if not 0.0 < p < 1.0:
         raise ValidationError(f"mask rate {p} outside (0, 1)")
-    _check_sentinel(sentinel_template)
     base = _as_reformulated(ex)
-    source = base.input_text
-    units = segment(source, seg).units
-    masked = [rng.random() < p for _ in units]
-    pieces: list[str] = []
-    k = 0
-    for (start, core_end, end), hit in zip(units, masked):
-        if hit:
-            pieces.append(_sentinel(sentinel_template, k))
-            pieces.append(source[core_end:end])
-            k += 1
-        else:
-            pieces.append(source[start:end])
-    n_masked = sum(masked)
-    realized = n_masked / len(units) if units else 0.0
-    return ReformulatedExample(
-        input_text="".join(pieces),
-        target_text=base.target_text,
-        tag=TAG_MASK,
-        meta={**base.meta, "mask_rate": realized, "masked_units": n_masked},
-        input_parts=("".join(pieces),),
-    )
+    units = segment(base.input_text, seg).units
+    spans = [(i, 1) for i in range(len(units)) if rng.random() < p]
+    return _mask_spans(base, units, spans, TAG_MASK)
 
 
 def _geometric_span(rng: random.Random, mean_span: int) -> int:
@@ -360,7 +337,6 @@ def span_mask(
     mean_span: int,
     rng: random.Random,
     seg: Segmenter | None = None,
-    sentinel_template: str = DEFAULT_SENTINEL,
 ) -> ReformulatedExample:
     """Mask contiguous unit spans, collapsing each span to one sentinel.
 
@@ -375,43 +351,16 @@ def span_mask(
     if mean_span < 1:
         raise ValidationError(f"mean span {mean_span} must be >= 1")
     check_span_rate(p, mean_span)
-    _check_sentinel(sentinel_template)
     base = _as_reformulated(ex)
-    source = base.input_text
-    units = segment(source, seg).units
+    units = segment(base.input_text, seg).units
     q = span_start_probability(p, mean_span)
-
-    pieces: list[str] = []
+    spans: list[tuple[int, int]] = []
     i = 0
-    k = 0
-    n_masked = 0
-    span_count = 0
     while i < len(units):
         if rng.random() < q:
             length = min(_geometric_span(rng, mean_span), len(units) - i)
-            _, core_end, end = units[i + length - 1]
-            pieces.append(_sentinel(sentinel_template, k))
-            pieces.append(source[core_end:end])
-            k += 1
-            n_masked += length
-            span_count += 1
-            i += length
-            if i < len(units):  # forced gap unit stays unmasked
-                pieces.append(source[units[i][0] : units[i][2]])
-                i += 1
+            spans.append((i, length))
+            i += length + 1  # the forced gap unit stays unmasked
         else:
-            pieces.append(source[units[i][0] : units[i][2]])
             i += 1
-    realized = n_masked / len(units) if units else 0.0
-    return ReformulatedExample(
-        input_text="".join(pieces),
-        target_text=base.target_text,
-        tag=TAG_SPAN_MASK,
-        meta={
-            **base.meta,
-            "mask_rate": realized,
-            "masked_units": n_masked,
-            "span_count": span_count,
-        },
-        input_parts=("".join(pieces),),
-    )
+    return _mask_spans(base, units, spans, TAG_SPAN_MASK, span_count=len(spans))

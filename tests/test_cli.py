@@ -456,6 +456,16 @@ _GOOD_LANGS = '[{"code": "eng_Latn"}, {"code": "l01_Cyrl"}]'
         (_GOOD_SCORES + "l01_Cyrl\teng_Latn\t40.0\tmany\n", _GOOD_LANGS, "line 3"),
         (_GOOD_SCORES, '[{"code": "eng_Latn"}, {"in_pretrain": true}]', "entry 1"),
         (_GOOD_SCORES, '["eng_Latn"]', "entry 0"),
+        (
+            _GOOD_SCORES,
+            '[{"code": "aaa"}, {"code": "eng_Latn"}, {"code": "aaa", "in_pretrain": true}]',
+            "langs.json: entry 2: duplicate code aaa (first at entry 0)",
+        ),
+        (
+            _GOOD_SCORES,
+            '[{"code": "aaa", "pretrain_size": -3}]',
+            "langs.json: entry 0: aaa: pretrain_size must be >= 0",
+        ),
     ],
 )
 def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):

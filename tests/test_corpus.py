@@ -508,6 +508,8 @@ def test_loaded_corpus_is_smaller_than_its_texts_as_strings(tmp_path):
         ({"code": "aaa", "pretrain_size": "12"}, "pretrain_size must be an int, got '12'"),
         ({"code": 5}, "code must be a nonempty string, got 5"),
         ({"code": ""}, "code must be a nonempty string, got ''"),
+        ({"code": "aaa", "pretrain_size": -3}, "aaa: pretrain_size must be >= 0"),
+        ({"code": "eng_Latn", "in_pretrain": True}, "duplicate code eng_Latn (first at entry 0)"),
     ],
 )
 def test_manifest_values_are_cast_strictly(tmp_path, entry, what):

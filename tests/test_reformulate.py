@@ -23,6 +23,7 @@ from reformkit.reformulate import (
     span_mask,
     span_start_probability,
 )
+from reformkit.textseg import SEGMENTER_KINDS, Segmenter, segment
 
 TIB = Language("bod_Tibt")
 ENG = Language("eng_Latn")
@@ -122,9 +123,19 @@ def test_prefix_suffix_slicing():
     assert out.tag == "prefix_suffix"
 
 
-def test_prefix_suffix_all_front_equals_pose():
-    ex = _ex(target="a b c d e f")
-    assert prefix_suffix(ex, 1.0, 1.0).input_text == pose(ex, 1.0).input_text
+@given(
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.text(alphabet="ab X\tཀ་༌", min_size=1, max_size=24),
+    st.sampled_from(SEGMENTER_KINDS),
+    st.sampled_from(["\n", "X"]),
+)
+def test_prefix_suffix_all_front_equals_pose(u, target, kind, delimiter):
+    # pose is prefix_suffix with every unit in front: k_p = round(1.0 * k) = k, k_s = 0
+    ex = _ex(source="ཀ་X ཁ", target=target)
+    fmt = ScaffoldFormat(delimiter=delimiter)
+    a = pose(ex, u, Segmenter(kind), fmt)
+    b = prefix_suffix(ex, u, 1.0, Segmenter(kind), fmt)
+    assert (a.input_text, a.input_parts) == (b.input_text, b.input_parts)
 
 
 def test_prefix_suffix_zero_is_baseline_shape():
@@ -280,8 +291,6 @@ def test_mask_rejects_bad_rate():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValidationError):
             mask_tokens(_ex(), bad, random.Random(0))
-    with pytest.raises(ValidationError):
-        mask_tokens(_ex(), 0.1, random.Random(0), sentinel_template="<mask>")
 
 
 def test_mask_deterministic_under_seed():
@@ -296,6 +305,82 @@ def test_mask_composes_with_pose():
     out = mask_tokens(reformed, 0.3, random.Random(5))
     assert out.target_text == "the blessed one spoke"
     assert out.tag == "mask"
+
+
+def _reference_mask(source, units, spans):
+    """Per-unit assembly: the units of a ``(first, length)`` span become one
+    sentinel plus the last unit's trailing separators; every other unit is
+    copied whole."""
+    length_at = dict(spans)
+    pieces = []
+    i = k = 0
+    while i < len(units):
+        if i in length_at:
+            _, core_end, end = units[i + length_at[i] - 1]
+            pieces.append(f"<extra_id_{k}>" + source[core_end:end])
+            k += 1
+            i += length_at[i]
+        else:
+            pieces.append(source[units[i][0] : units[i][2]])
+            i += 1
+    return "".join(pieces)
+
+
+def _geometric_draw(length, mean_span):
+    # the draw u for which _geometric_span returns ``length``
+    return 1.0 - (1.0 - 1.0 / mean_span) ** (length - 0.5)
+
+
+_SPLICE_SOURCES = [
+    "  lead sep\tand words",  # leading separators
+    "ཀ་ཁ་ག་ང་ཅ",  # tsheg-joined Tibetan
+    " \t ",  # separators only
+    "one two three four ",
+]
+
+
+@pytest.mark.parametrize("kind", SEGMENTER_KINDS)
+@pytest.mark.parametrize("source", _SPLICE_SOURCES)
+def test_mask_tokens_splice_matches_per_unit_assembly(source, kind):
+    seg = Segmenter(kind)
+    units = segment(source, seg).units
+    n = len(units)
+    for hits in ({0}, {n - 1}, {0, n - 1}, set(range(0, n, 2)), set(range(n)), set()):
+        rng = ScriptedRng([0.0 if i in hits else 0.99 for i in range(n)])
+        out = mask_tokens(_ex(source=source, target="t"), 0.5, rng, seg)
+        assert rng.draws == []
+        assert out.input_text == _reference_mask(source, units, [(i, 1) for i in sorted(hits)])
+        assert out.meta["masked_units"] == len(hits)
+
+
+@pytest.mark.parametrize("kind", SEGMENTER_KINDS)
+@pytest.mark.parametrize("source", _SPLICE_SOURCES)
+def test_span_mask_splice_matches_per_unit_assembly(source, kind):
+    seg = Segmenter(kind)
+    units = segment(source, seg).units
+    n = len(units)
+    mean_span = 2  # start probability 0.5 at p = 0.5
+    # (first, drawn length) plans; the last ones reach, or run past, the last unit
+    plans = ([(0, 2)], [(1, 1), (3, 2)], [(n - 1, 3)], [(0, n)], [(max(n - 2, 0), 2)])
+    for plan in plans:
+        draws, spans = [], []
+        starts = dict(plan)
+        i = 0
+        while i < n:
+            if i in starts:
+                draws += [0.0, _geometric_draw(starts[i], mean_span)]
+                length = min(starts[i], n - i)
+                spans.append((i, length))
+                i += length + 1
+            else:
+                draws.append(0.99)
+                i += 1
+        rng = ScriptedRng(draws)
+        out = span_mask(_ex(source=source, target="t"), 0.5, mean_span, rng, seg)
+        assert rng.draws == []
+        assert out.input_text == _reference_mask(source, units, spans)
+        assert out.meta["span_count"] == len(spans)
+        assert out.meta["masked_units"] == sum(length for _, length in spans)
 
 
 def test_span_mask_degenerate_short_input():
