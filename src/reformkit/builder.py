@@ -25,9 +25,9 @@ from typing import Iterable, Sequence
 from .corpus import (
     BilingualCorpus,
     MultiParallelCorpus,
-    TranslationExample,
     _substream,
     corpus_digest,
+    example_from_record,
     open_utf8,
     partition,
 )
@@ -37,8 +37,8 @@ from .reformulate import (
     ScaffoldFormat,
     baseline,
     mask_tokens,
-    mips_scaffold,
-    parse_scaffold,
+    mips_reform,
+    parse_reform,
     pose,
     prefix_suffix,
     span_mask,
@@ -53,11 +53,6 @@ from .schedule import (
     policy_to_dict,
 )
 from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_prefix
-
-# Not called by the build: perfbench's span tracer wraps these names in this
-# module, so they stay importable from here.
-from .corpus import example_from_record  # noqa: F401
-from .reformulate import mips_reform, parse_reform  # noqa: F401
 
 REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_PRESETS)
 
@@ -270,13 +265,7 @@ def _build_example(
     once per build."""
     rng = _LazySubstream(cfg.seed, f"example:{split}", index)
     item_id, src_code, tgt_code = assignment
-    example = TranslationExample(
-        corpus.language(src_code),
-        corpus.language(tgt_code),
-        corpus.text(item_id, src_code),
-        corpus.text(item_id, tgt_code),
-        None if cfg.task == "bilingual" else corpus.ids[item_id],
-    )
+    example = example_from_record(corpus, item_id, src_code, tgt_code)
 
     step = index // cfg.batch_size if split == "train" else None
     step_policy = None
@@ -298,12 +287,12 @@ def _build_example(
             example, step_policy.prefix_law.draw_with(rng), cfg.front_share, cfg.seg, cfg.fmt
         )
     elif cfg.reform == "parse":
-        out = parse_scaffold(
+        out = parse_reform(
             example, corpus.language(cfg.pivot), corpus.text(item_id, cfg.pivot), cfg.fmt
         )
     elif cfg.reform == "mips":
         aux_in, aux_out = _draw_aux(rng(), mips_codes, src_code, tgt_code)
-        out = mips_scaffold(
+        out = mips_reform(
             example,
             corpus.language(aux_in),
             corpus.language(aux_out),

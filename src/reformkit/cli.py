@@ -168,21 +168,19 @@ def _cmd_sample(args) -> int:
 
 
 def _schedule_policy(args):
+    if args.preset and (args.kind is not None or args.frac is not None):
+        raise UsageError("--preset takes no --kind or --frac")
     if args.preset in ("curriculum1", "curriculum2", "curriculum3"):
         return SchedulePolicy(args.preset, args.steps)
     if args.preset in MASK_PRESETS:
         return mask_preset(args.preset, args.steps)
     if args.preset:
         raise UsageError(f"unknown schedule preset: {args.preset!r} (curriculum1..3 or mask1..4)")
-    if args.kind == "window_first":
-        if args.frac is None:
-            raise UsageError("--kind window_first needs --frac")
-        return window_first(args.frac, args.steps)
-    if args.kind == "mix":
-        if args.frac is None:
-            raise UsageError("--kind mix needs --frac")
-        return mix(args.frac, args.steps)
-    raise UsageError("schedule needs --preset or --kind")
+    if args.kind is None:
+        raise UsageError("schedule needs --preset or --kind")
+    if args.frac is None:
+        raise UsageError(f"--kind {args.kind} needs --frac")
+    return (window_first if args.kind == "window_first" else mix)(args.frac, args.steps)
 
 
 def _cmd_schedule(args) -> int:
@@ -203,6 +201,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    if (args.src is None) != (args.tgt is None):
+        raise UsageError("--src and --tgt go together")
     # without the CR of a CRLF ending
     hyps = [line.removesuffix("\r") for line in read_lines(args.hyp)]
     refs = [line.removesuffix("\r") for line in read_lines(args.ref)]
@@ -213,7 +213,7 @@ def _cmd_score(args) -> int:
     )
     value = score(hyps, refs, cfg)
     out = {"metric": args.metric, "value": value, "n": len(hyps), "config": asdict(cfg)}
-    if args.src and args.tgt:
+    if args.src is not None:
         out["src"], out["tgt"] = args.src, args.tgt
     _emit(out)
     return 0
@@ -258,6 +258,8 @@ def _read_direction_scores(path: str) -> list[DirectionScore]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.scatter_tsv and not args.scatter:
+        raise UsageError("--scatter-tsv needs --scatter")
     scores = _read_direction_scores(args.scores)
     langs = load_manifest(args.langs)
     report = breakdown(scores, langs, english_code=args.english)

@@ -446,17 +446,17 @@ def split(corpus: MultiParallelCorpus, sizes: tuple[int, int, int], seed: int):
 
 
 def example_from_record(
-    corpus: MultiParallelCorpus, record: SentenceRecord, src: str, tgt: str
+    corpus: MultiParallelCorpus, index: int, src: str, tgt: str
 ) -> TranslationExample:
-    for code in (src, tgt):
-        if code not in record.texts:
-            raise AlignmentError(f"record {record.id}: missing text for language {code}")
+    """The ``src`` to ``tgt`` example of the record at position ``index``
+    (``0 <= index < len(corpus)``). Its ``sentence_id`` is the record id,
+    or ``None`` in a bilingual corpus, whose ids are only line positions."""
     return TranslationExample(
-        source_lang=corpus.language(src),
-        target_lang=corpus.language(tgt),
-        source_text=record.texts[src],
-        target_text=record.texts[tgt],
-        sentence_id=record.id,
+        corpus.language(src),
+        corpus.language(tgt),
+        corpus.text(index, src),
+        corpus.text(index, tgt),
+        None if isinstance(corpus, BilingualCorpus) else corpus.ids[index],
     )
 
 

@@ -1,9 +1,10 @@
 """Reformulation kernels: scaffolded inputs, parallel pivots, and masking.
 
-Each kernel maps a translation example (or an aligned sentence record) to a
-reformulated training example. Kernels are pure: given the same arguments
-and the same random draws they produce identical output, which is what
-makes shard-level determinism possible further up the pipeline.
+Each kernel maps a translation example, plus any parallel texts it
+scaffolds with, to a reformulated training example. Kernels are pure:
+given the same arguments and the same random draws they produce identical
+output, which is what makes shard-level determinism possible further up
+the pipeline.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import Language, SentenceRecord, TranslationExample
-from .errors import AlignmentError, ValidationError
+from .corpus import Language, TranslationExample
+from .errors import ValidationError
 from .textseg import Segmenter, segment, take_prefix, take_suffix
 
 TAG_BASELINE = "baseline"
@@ -167,81 +168,45 @@ def prefix_suffix(
     return _target_scaffold(ex, u, r, seg, fmt, TAG_PREFIX_SUFFIX, meta)
 
 
-def _record_text(rec: SentenceRecord, lang: Language) -> str:
-    text = rec.texts.get(lang.code)
-    if not text:
-        raise AlignmentError(f"record {rec.id}: missing text for language {lang.code}")
-    return text
-
-
 def parse_reform(
-    rec: SentenceRecord,
-    src: Language,
-    tgt: Language,
+    ex: TranslationExample,
     pivot: Language,
+    pivot_text: str,
     fmt: ScaffoldFormat | None = None,
 ) -> ReformulatedExample:
-    """Append the full pivot translation of the same sentence to the input.
+    """Append ``pivot_text``, the full pivot translation of the same
+    sentence, to the input.
 
     When the pair already involves the pivot language the scaffold would
     either duplicate the input or hand over the entire answer, so the
     example falls back to the baseline shape and is flagged in meta.
     """
-    if src.code == tgt.code:
-        raise ValidationError("source and target language must differ")
-    example = TranslationExample(
-        src, tgt, _record_text(rec, src), _record_text(rec, tgt), sentence_id=rec.id
-    )
-    return parse_scaffold(example, pivot, _record_text(rec, pivot), fmt or ScaffoldFormat())
-
-
-def parse_scaffold(
-    ex: TranslationExample, pivot: Language, pivot_text: str, fmt: ScaffoldFormat
-) -> ReformulatedExample:
-    """``parse_reform`` for an example whose texts are already read."""
     if pivot.code in (ex.source_lang.code, ex.target_lang.code):
         return _scaffolded(ex, (), TAG_BASELINE, {"parse_fallback": True}, fmt)
+    if not pivot_text:
+        raise ValidationError(f"empty scaffold text for language {pivot.code}")
     return _scaffolded(ex, (pivot_text,), TAG_PARSE, {"scaffold_langs": [pivot.code]}, fmt)
 
 
 def mips_reform(
-    rec: SentenceRecord,
-    src: Language,
-    tgt: Language,
-    aux_in: Language,
-    aux_out: Language,
-    fmt: ScaffoldFormat | None = None,
-) -> ReformulatedExample:
-    """Append one extra parallel translation to the input and another to the
-    output, so four pairwise-distinct languages appear per example."""
-    codes = [src.code, tgt.code, aux_in.code, aux_out.code]
-    if len(set(codes)) != 4:
-        raise ValidationError(f"languages must be pairwise distinct, got {codes}")
-    example = TranslationExample(
-        src, tgt, _record_text(rec, src), _record_text(rec, tgt), sentence_id=rec.id
-    )
-    return mips_scaffold(
-        example,
-        aux_in,
-        aux_out,
-        _record_text(rec, aux_in),
-        _record_text(rec, aux_out),
-        fmt or ScaffoldFormat(),
-    )
-
-
-def mips_scaffold(
     ex: TranslationExample,
     aux_in: Language,
     aux_out: Language,
     aux_in_text: str,
     aux_out_text: str,
-    fmt: ScaffoldFormat,
+    fmt: ScaffoldFormat | None = None,
 ) -> ReformulatedExample:
-    """``mips_reform`` for an example whose texts are already read; the
-    caller guarantees four distinct languages."""
-    target_text = fmt.delimiter.join(filter(None, (ex.target_text, aux_out_text)))
+    """Append one extra parallel translation to the input and another to the
+    output, so four pairwise-distinct languages appear per example."""
+    codes = [ex.source_lang.code, ex.target_lang.code, aux_in.code, aux_out.code]
+    if len(set(codes)) != 4:
+        raise ValidationError(f"languages must be pairwise distinct, got {codes}")
+    for lang, text in ((aux_in, aux_in_text), (aux_out, aux_out_text)):
+        if not text:
+            raise ValidationError(f"empty scaffold text for language {lang.code}")
+    fmt = fmt or ScaffoldFormat()
     meta = {"scaffold_langs": [aux_in.code, aux_out.code]}
+    target_text = ex.target_text + fmt.delimiter + aux_out_text
     return _scaffolded(ex, (aux_in_text,), TAG_MIPS, meta, fmt, target_text)
 
 

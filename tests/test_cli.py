@@ -435,6 +435,36 @@ def test_missing_frac_exits_2():
     assert "frac" in err
 
 
+def test_schedule_preset_with_kind_or_frac_exits_2():
+    for extra in (["--kind", "mix", "--frac", "0.5"], ["--frac", "0.5"]):
+        code, out, err = run_cli(["schedule", "--preset", "curriculum1", "--steps", "10", *extra])
+        assert (code, out) == (2, "")
+        assert err == "error: --preset takes no --kind or --frac\n"
+
+
+def test_score_src_without_tgt_exits_2(tmp_path):
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("ab cd\n", encoding="utf-8")
+    for flag in ("--src", "--tgt"):
+        code, out, err = run_cli(
+            ["score", "--metric", "chrfpp", "--hyp", str(hyp), "--ref", str(hyp), flag, "deu_Latn"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --src and --tgt go together\n"
+
+
+def test_analyze_scatter_tsv_without_scatter_exits_2(tmp_path, multi_corpus):
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("src\ttgt\tvalue\tn\nl01_Cyrl\teng_Latn\t40.0\t100\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["analyze", "--scores", str(scores), "--langs", str(multi_corpus / "manifest.json"),
+         "--scatter-tsv", str(tmp_path / "scatter.tsv")]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --scatter-tsv needs --scatter\n"
+    assert not (tmp_path / "scatter.tsv").exists()
+
+
 def test_missing_file_exits_1(tmp_path):
     ref = tmp_path / "r.txt"
     ref.write_text("a\n", encoding="utf-8")

@@ -302,12 +302,22 @@ def test_translation_example_invariants():
 
 def test_example_from_record(tmp_path):
     corpus = load_multiparallel(_toy_multi(tmp_path))
-    ex = example_from_record(corpus, corpus.records[3], "aaa_Latn", "bbb_Latn")
+    ex = example_from_record(corpus, 3, "aaa_Latn", "bbb_Latn")
     assert ex.source_text == "aaa_Latn sentence 3"
     assert ex.target_text == "bbb_Latn sentence 3"
     assert ex.sentence_id == 3
-    with pytest.raises(AlignmentError):
-        example_from_record(corpus, corpus.records[3], "aaa_Latn", "zzz_Latn")
+    with pytest.raises(ValidationError, match="zzz_Latn"):
+        example_from_record(corpus, 3, "aaa_Latn", "zzz_Latn")
+
+
+def test_example_from_record_ids():
+    eng, deu = Language("eng"), Language("deu")
+    bilingual = BilingualCorpus(eng, deu, [("hello", "hallo"), ("cat", "Katze")])
+    ex = example_from_record(bilingual, 1, "eng", "deu")
+    assert (ex.source_text, ex.target_text, ex.sentence_id) == ("cat", "Katze", None)
+    records = (SentenceRecord(40, {"eng": "a", "deu": "b"}), SentenceRecord(12, {"eng": "c", "deu": "d"}))
+    ex = example_from_record(MultiParallelCorpus((eng, deu), records), 1, "deu", "eng")
+    assert (ex.source_text, ex.target_text, ex.sentence_id) == ("d", "c", 12)
 
 
 def test_record_missing_language_rejected():

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reformkit.corpus import Language, SentenceRecord, TranslationExample
-from reformkit.errors import AlignmentError, ValidationError
+from reformkit.errors import ValidationError
 from reformkit.reformulate import (
     ScaffoldFormat,
     baseline,
     mask_tokens,
     mips_reform,
-    mips_scaffold,
     parse_reform,
-    parse_scaffold,
     pose,
     prefix_suffix,
     span_mask,
@@ -170,8 +168,21 @@ _RECORD = SentenceRecord(
 )
 
 
+def _pair(src, tgt, rec=_RECORD):
+    return TranslationExample(src, tgt, rec.texts[src.code], rec.texts[tgt.code], rec.id)
+
+
+def _parse(src, tgt, pivot=ENG):
+    return parse_reform(_pair(src, tgt), pivot, _RECORD.texts[pivot.code])
+
+
+def _mips(src, tgt, aux_in, aux_out):
+    texts = _RECORD.texts
+    return mips_reform(_pair(src, tgt), aux_in, aux_out, texts[aux_in.code], texts[aux_out.code])
+
+
 def test_parse_appends_pivot():
-    out = parse_reform(_RECORD, DEU, FRA, ENG)
+    out = _parse(DEU, FRA)
     assert out.input_text == "Hallo Welt\nHello world"
     assert out.target_text == "Bonjour le monde"
     assert out.tag == "parse"
@@ -180,24 +191,25 @@ def test_parse_appends_pivot():
 
 
 def test_parse_pivot_source_falls_back():
-    out = parse_reform(_RECORD, ENG, FRA, ENG)
+    out = _parse(ENG, FRA)
     assert out.tag == "baseline"
     assert out.input_text == "Hello world"
     assert out.meta["parse_fallback"] is True
 
 
 def test_parse_pivot_target_falls_back():
-    out = parse_reform(_RECORD, DEU, ENG, ENG)
+    out = _parse(DEU, ENG)
     assert out.tag == "baseline"
     assert out.input_text == "Hallo Welt"
     assert out.target_text == "Hello world"
     assert out.meta["parse_fallback"] is True
 
 
-def test_parse_missing_pivot_text():
-    record = SentenceRecord(id=0, texts={"deu_Latn": "a", "fra_Latn": "b"})
-    with pytest.raises(AlignmentError, match="eng_Latn"):
-        parse_reform(record, DEU, FRA, ENG)
+def test_parse_empty_pivot_text():
+    with pytest.raises(ValidationError, match="eng_Latn"):
+        parse_reform(_pair(DEU, FRA), ENG, "")
+    # a fallback scaffolds nothing, so it reads no pivot text
+    assert parse_reform(_pair(ENG, FRA), ENG, "").meta["parse_fallback"] is True
 
 
 def test_parse_scaffold_matches_pivot_corpus_wide():
@@ -213,12 +225,12 @@ def test_parse_scaffold_matches_pivot_corpus_wide():
         for i in range(200)
     ]
     for rec in records:
-        out = parse_reform(rec, DEU, FRA, ENG)
+        out = parse_reform(_pair(DEU, FRA, rec), ENG, rec.texts["eng_Latn"])
         assert out.input_parts[1] == rec.texts["eng_Latn"]
 
 
 def test_mips_four_languages():
-    out = mips_reform(_RECORD, DEU, FRA, ENG, TIB)
+    out = _mips(DEU, FRA, ENG, TIB)
     assert out.input_text == "Hallo Welt\nHello world"
     assert out.target_text == "Bonjour le monde\nཀ་ཁ་ག"
     assert out.tag == "mips"
@@ -227,36 +239,19 @@ def test_mips_four_languages():
 
 def test_mips_rejects_collisions():
     with pytest.raises(ValidationError):
-        mips_reform(_RECORD, DEU, FRA, DEU, TIB)
+        _mips(DEU, FRA, DEU, TIB)
     with pytest.raises(ValidationError):
-        mips_reform(_RECORD, DEU, FRA, ENG, FRA)
+        _mips(DEU, FRA, ENG, FRA)
+    with pytest.raises(ValidationError):
+        _mips(DEU, FRA, ENG, ENG)
 
 
-def test_mips_three_language_record():
-    record = SentenceRecord(id=0, texts={"deu_Latn": "a", "fra_Latn": "b", "eng_Latn": "c"})
-    # a fourth language can be named but its text is absent
-    with pytest.raises(AlignmentError, match="bod_Tibt"):
-        mips_reform(record, DEU, FRA, ENG, TIB)
-
-
-def test_record_kernels_equal_the_example_helpers():
-    langs = {lang.code: lang for lang in (TIB, ENG, DEU, FRA)}
-    fmt = ScaffoldFormat(delimiter=" | ", target_lang_tag_template="<2{code}> ")
-    for src in langs.values():
-        for tgt in langs.values():
-            if src == tgt:
-                continue
-            ex = TranslationExample(
-                src, tgt, _RECORD.texts[src.code], _RECORD.texts[tgt.code], sentence_id=_RECORD.id
-            )
-            want = parse_reform(_RECORD, src, tgt, ENG, fmt)
-            assert parse_scaffold(ex, ENG, _RECORD.texts["eng_Latn"], fmt) == want
-            aux_in, aux_out = (lang for code, lang in langs.items() if code not in (src.code, tgt.code))
-            want = mips_reform(_RECORD, src, tgt, aux_in, aux_out, fmt)
-            got = mips_scaffold(
-                ex, aux_in, aux_out, _RECORD.texts[aux_in.code], _RECORD.texts[aux_out.code], fmt
-            )
-            assert got == want
+def test_mips_empty_aux_text():
+    ex = _pair(DEU, FRA)
+    with pytest.raises(ValidationError, match="eng_Latn"):
+        mips_reform(ex, ENG, TIB, "", "ཀ་ཁ་ག")
+    with pytest.raises(ValidationError, match="bod_Tibt"):
+        mips_reform(ex, ENG, TIB, "Hello world", "")
 
 
 def test_mask_numbering_left_to_right():
