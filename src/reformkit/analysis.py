@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Language
 from .errors import ValidationError
@@ -24,9 +24,6 @@ class Cell:
 
     value: float | None
     n: int
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -63,12 +60,6 @@ class ScatterReport:
         return asdict(self)
 
 
-def _lang_map(langs: Iterable[Language] | Mapping[str, Language]) -> dict[str, Language]:
-    if isinstance(langs, Mapping):
-        return dict(langs)
-    return {lang.code: lang for lang in langs}
-
-
 def _mean_cell(values: Sequence[float]) -> Cell:
     if not values:
         return Cell(None, 0)
@@ -77,7 +68,7 @@ def _mean_cell(values: Sequence[float]) -> Cell:
 
 def breakdown(
     scores: Sequence[DirectionScore],
-    langs: Iterable[Language] | Mapping[str, Language],
+    langs: Iterable[Language],
     english_code: str = DEFAULT_ENGLISH,
 ) -> BreakdownReport:
     """Partition directions by pretraining membership of source and target.
@@ -89,7 +80,7 @@ def breakdown(
     if not scores:
         raise ValidationError("no direction scores to break down")
     check_distinct_directions(scores)
-    meta = _lang_map(langs)
+    meta = {lang.code: lang for lang in langs}
     cells: dict[str, list[float]] = {
         "in_in": [],
         "out_in": [],
@@ -162,7 +153,7 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, bool]:
 
 def pretrain_scatter(
     scores: Sequence[DirectionScore],
-    langs: Iterable[Language] | Mapping[str, Language],
+    langs: Iterable[Language],
     direction: str = "from_lang",
 ) -> ScatterReport:
     """Per-language mean score vs pretraining-corpus size.
@@ -174,7 +165,7 @@ def pretrain_scatter(
     if direction not in ("from_lang", "into_lang"):
         raise ValidationError(f"unknown scatter direction: {direction!r}")
     check_distinct_directions(scores)
-    meta = _lang_map(langs)
+    meta = {lang.code: lang for lang in langs}
     grouped: dict[str, list[float]] = {}
     for s in scores:
         code = s.src if direction == "from_lang" else s.tgt

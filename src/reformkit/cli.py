@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from collections import defaultdict
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from .metrics import (
     DirectionScore,
     ScoreConfig,
     chrfpp,
-    first_duplicate_direction,
     score,
     score_direction,
 )
@@ -119,6 +119,8 @@ def _emit(data: dict) -> None:
 def _load_corpus(path: str, task: str, fmt: str | None):
     p = Path(path)
     if task == "multiparallel":
+        if fmt is not None:
+            raise UsageError("--corpus-format is only for the bilingual task")
         return load_multiparallel(p)
     if fmt is None:
         fmt = "jsonl" if p.suffix == ".jsonl" else "tsv"
@@ -221,17 +223,21 @@ def _cmd_score(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.counts:
+        if args.shards or args.seg is not None:
+            raise UsageError("--counts takes no shard paths or --seg")
         _emit(stats_from_counts(args.counts))
         return 0
     if not args.shards:
         raise UsageError("stats needs shard paths or --counts")
-    _emit(stats(args.shards, Segmenter(args.seg)))
+    _emit(stats(args.shards, Segmenter() if args.seg is None else Segmenter(args.seg)))
     return 0
 
 
 def _read_direction_scores(path: str) -> list[DirectionScore]:
     scores = []
-    linenos = []
+    # line of each direction's first row, keyed by source, then target, as
+    # in ``check_distinct_directions``
+    first: defaultdict[str, dict[str, int]] = defaultdict(dict)
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.startswith("src\t"):
             continue
@@ -246,14 +252,12 @@ def _read_direction_scores(path: str) -> list[DirectionScore]:
             scores.append(DirectionScore(cols[0], cols[1], value, n))
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-        linenos.append(lineno)
-    duplicate = first_duplicate_direction(scores)
-    if duplicate is not None:
-        i, j = duplicate
-        raise ValidationError(
-            f"{path}: line {linenos[j]}: duplicate direction {scores[j].src}-{scores[j].tgt}, "
-            f"first on line {linenos[i]}"
-        )
+        first_lineno = first[cols[0]].setdefault(cols[1], lineno)
+        if first_lineno != lineno:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate direction {cols[0]}-{cols[1]}, "
+                f"first on line {first_lineno}"
+            )
     return scores
 
 
@@ -420,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="token statistics over shards or sidecar counts")
     p.add_argument("shards", nargs="*", help="shard JSONL paths")
     p.add_argument("--counts", help="sidecar token-count file")
-    p.add_argument("--seg", choices=SEGMENTER_KINDS, default="unicode_words")
+    p.add_argument("--seg", choices=SEGMENTER_KINDS, help="default unicode_words; not with --counts")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("analyze", help="breakdown and scatter over direction scores")

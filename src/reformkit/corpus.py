@@ -19,7 +19,6 @@ import random
 import struct
 import unicodedata
 from array import array
-from collections.abc import Sequence as SequenceABC
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -63,7 +62,7 @@ class MultiParallelCorpus:
     is read by slicing its column, so no object exists per text. Under
     ``fork`` a build worker then reads the parent's pages without writing a
     reference count into each, and the corpus takes about the size of its
-    text in memory.
+    text in memory. Record ``i`` is read as ``ids[i]`` and ``text(i, code)``.
 
     ``MultiParallelCorpus(languages, records)`` packs ``SentenceRecord``s
     into columns, keeping only the texts of the corpus languages; ``ids``
@@ -121,12 +120,6 @@ class MultiParallelCorpus:
     def codes(self) -> tuple[str, ...]:
         return tuple(lang.code for lang in self.languages)
 
-    @property
-    def records(self) -> Sequence[SentenceRecord]:
-        """A read-only sequence that builds each ``SentenceRecord`` when
-        indexed. The build path reads texts with ``text`` instead."""
-        return _Records(self)
-
     def language(self, code: str) -> Language:
         try:
             return self._by_code[code]
@@ -168,25 +161,6 @@ class BilingualCorpus(MultiParallelCorpus):
         """The (source, target) texts, built from the columns on each access."""
         source, target = self.codes
         return tuple((self.text(i, source), self.text(i, target)) for i in range(len(self)))
-
-
-class _Records(SequenceABC):
-    """``MultiParallelCorpus.records``: builds each record from the columns."""
-
-    __slots__ = ("_corpus",)
-
-    def __init__(self, corpus: MultiParallelCorpus) -> None:
-        self._corpus = corpus
-
-    def __len__(self) -> int:
-        return len(self._corpus)
-
-    def __getitem__(self, index: int) -> SentenceRecord:
-        corpus = self._corpus
-        index = range(len(corpus))[index]  # negative indices and IndexError
-        return SentenceRecord(
-            corpus.ids[index], {code: corpus.text(index, code) for code in corpus.codes}
-        )
 
 
 @dataclass(frozen=True)

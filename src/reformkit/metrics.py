@@ -213,26 +213,17 @@ def score_direction(
     return DirectionScore(src=src, tgt=tgt, value=score(hyps, refs, cfg), n_sentences=len(hyps))
 
 
-def first_duplicate_direction(scores: Sequence[DirectionScore]) -> tuple[int, int] | None:
-    """Indices (i, j), i < j, of the first score j whose (src, tgt) direction
-    score i already has, or None when every direction is distinct."""
+def check_distinct_directions(scores: Iterable[DirectionScore]) -> None:
+    """Reject a score list that holds some (src, tgt) direction twice."""
     # Keyed by source, then target: a (src, tgt) key would allocate a tuple
     # per score, and over the 41,412 scores of a FLORES-200 run those set off
     # garbage collections that made `analyze` slower.
-    first: defaultdict[str, dict[str, int]] = defaultdict(dict)
-    for j, s in enumerate(scores):
-        i = first[s.src].setdefault(s.tgt, j)
-        if i != j:
-            return i, j
-    return None
-
-
-def check_distinct_directions(scores: Sequence[DirectionScore]) -> None:
-    """Reject a score list that holds some (src, tgt) direction twice."""
-    duplicate = first_duplicate_direction(scores)
-    if duplicate is not None:
-        s = scores[duplicate[1]]
-        raise ValidationError(f"duplicate direction: {s.src}-{s.tgt}")
+    seen: defaultdict[str, set[str]] = defaultdict(set)
+    for s in scores:
+        targets = seen[s.src]
+        if s.tgt in targets:
+            raise ValidationError(f"duplicate direction: {s.src}-{s.tgt}")
+        targets.add(s.tgt)
 
 
 def average_directions(scores: Iterable[DirectionScore]) -> float:

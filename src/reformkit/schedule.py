@@ -85,9 +85,6 @@ class PrefixLaw:
             if self.value is None or not 0.0 <= self.value <= 1.0:
                 raise ValidationError(f"fixed prefix value {self.value} outside [0, 1]")
 
-    def draw(self, rng: random.Random) -> float:
-        return self.draw_with(lambda: rng)
-
     def draw_with(self, get_rng: Callable[[], random.Random]) -> float:
         """A prefix fraction. ``get_rng`` gives the generator; a fixed law
         never calls it."""

@@ -191,7 +191,7 @@ def test_criterion_04_schedule_spot_values():
 def test_criterion_05_parse_alignment(tmp_path):
     with criterion(5, "parse scaffolds match the pivot sentence; pivot pairs fall back"):
         corpus = synth_multiparallel(6, 400, seed=2)
-        pivot_texts = {rec.id: rec.texts["eng_Latn"] for rec in corpus.records}
+        pivot_texts = {corpus.ids[i]: corpus.text(i, "eng_Latn") for i in range(len(corpus))}
         cfg = BuildConfig(
             task="multiparallel",
             reform="parse",
@@ -225,7 +225,10 @@ def test_criterion_05_parse_alignment(tmp_path):
 def test_criterion_06_mips_distinctness(tmp_path):
     with criterion(6, "mips: four distinct languages and exact reconstruction, 100k examples"):
         corpus = synth_multiparallel(8, 500, seed=3)
-        records = {rec.id: rec.texts for rec in corpus.records}
+        records = {
+            corpus.ids[i]: {code: corpus.text(i, code) for code in corpus.codes}
+            for i in range(len(corpus))
+        }
         cfg = BuildConfig(
             task="multiparallel",
             reform="mips",

@@ -326,10 +326,10 @@ def test_parse_scaffold_and_fallback(tmp_path):
     examples = _read_examples(tmp_path)
     n_fallback = 0
     for ex in examples:
-        rec = corpus.records[ex["meta"]["sentence_id"]]
+        i = ex["meta"]["sentence_id"]
         if ex["tag"] == "parse":
-            source = rec.texts[ex["meta"]["source_lang"]]
-            pivot = rec.texts["eng_Latn"]
+            source = corpus.text(i, ex["meta"]["source_lang"])
+            pivot = corpus.text(i, "eng_Latn")
             assert ex["input"] == f"{source}\n{pivot}"
         else:
             assert ex["tag"] == "baseline"
@@ -352,18 +352,18 @@ def test_mips_distinct_languages_and_reconstruction(tmp_path):
     build(corpus, cfg, tmp_path)
     for ex in _read_examples(tmp_path):
         assert ex["tag"] == "mips"
-        rec = corpus.records[ex["meta"]["sentence_id"]]
+        i = ex["meta"]["sentence_id"]
         src, tgt = ex["meta"]["source_lang"], ex["meta"]["target_lang"]
         aux_in, aux_out = ex["meta"]["scaffold_langs"]
         assert len({src, tgt, aux_in, aux_out}) == 4
-        assert ex["input"] == f"{rec.texts[src]}\n{rec.texts[aux_in]}"
-        assert ex["target"] == f"{rec.texts[tgt]}\n{rec.texts[aux_out]}"
+        assert ex["input"] == f"{corpus.text(i, src)}\n{corpus.text(i, aux_in)}"
+        assert ex["target"] == f"{corpus.text(i, tgt)}\n{corpus.text(i, aux_out)}"
 
 
 def test_truncation_drops_scaffold_before_source(tmp_path):
     corpus = synth_multiparallel(5, 100, seed=10)
     max_src_units = max(
-        len(rec.texts[code].split()) for rec in corpus.records for code in corpus.codes
+        len(corpus.text(i, code).split()) for i in range(len(corpus)) for code in corpus.codes
     )
     cfg = BuildConfig(
         task="multiparallel",
@@ -377,9 +377,9 @@ def test_truncation_drops_scaffold_before_source(tmp_path):
     manifest = build(corpus, cfg, tmp_path)
     truncated = 0
     for ex in _read_examples(tmp_path):
-        rec = corpus.records[ex["meta"]["sentence_id"]]
-        source = rec.texts[ex["meta"]["source_lang"]]
-        target = rec.texts[ex["meta"]["target_lang"]]
+        i = ex["meta"]["sentence_id"]
+        source = corpus.text(i, ex["meta"]["source_lang"])
+        target = corpus.text(i, ex["meta"]["target_lang"])
         assert ex["input"].startswith(source)  # full source survives
         assert ex["target"] == target  # target untouched
         assert len(ex["input"].split()) <= cfg.max_len
@@ -480,7 +480,7 @@ def test_stats_equals_manifest_stats(tmp_path):
     spaced = BilingualCorpus(
         multi.languages[0],
         multi.languages[1],
-        tuple((rec.texts[eng], rec.texts[l01]) for rec in multi.records) * 3,
+        tuple((multi.text(i, eng), multi.text(i, l01)) for i in range(len(multi))) * 3,
     )
     tibetan = synth_bilingual(300, seed=6)
     for kind, max_len, bilingual in (
@@ -822,7 +822,11 @@ def test_mips_digest_is_pinned_with_unsorted_language_order(tmp_path):
     # mips draws its extra languages from the sorted codes, whatever order
     # the corpus lists its languages in
     multi = synth_multiparallel(6, 40, seed=3)
-    reordered = MultiParallelCorpus(tuple(reversed(multi.languages)), multi.records)
+    records = [
+        SentenceRecord(multi.ids[i], {code: multi.text(i, code) for code in multi.codes})
+        for i in range(len(multi))
+    ]
+    reordered = MultiParallelCorpus(tuple(reversed(multi.languages)), records)
     cfg = BuildConfig(task="multiparallel", reform="mips", n_train=120, batch_size=20, seed=4)
     (shard,) = build(reordered, cfg, tmp_path).splits["train"]["shards"]
     assert shard["sha256"] == "f7c5410adfdfcf5f2242d3806a1f309c79f9d3388695d849486735087f732407"
@@ -852,7 +856,7 @@ def test_examples_that_draw_nothing_seed_no_substream(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_parse_and_mips_builds_never_read_records(tmp_path, monkeypatch, workers):
+def test_parse_and_mips_builds_match_across_worker_counts(tmp_path, workers):
     write_multiparallel(synth_multiparallel(6, 60, seed=7), tmp_path / "corpus")
     corpus = load_multiparallel(tmp_path / "corpus")
     cfg = BuildConfig(
@@ -863,17 +867,10 @@ def test_parse_and_mips_builds_never_read_records(tmp_path, monkeypatch, workers
     for reform in ("parse", "mips"):
         build(corpus, replace(cfg, reform=reform), tmp_path / f"{reform}-plain")
         expected[reform] = _shard_bytes(tmp_path / f"{reform}-plain")
-
-    def no_records(self):
-        raise AssertionError("the build read MultiParallelCorpus.records")
-
-    monkeypatch.setattr(MultiParallelCorpus, "records", property(no_records))
     for reform in ("parse", "mips"):
         out = tmp_path / f"{reform}-{workers}"
         build(corpus, replace(cfg, reform=reform), out, workers=workers)
         assert _shard_bytes(out) == expected[reform]
-    with pytest.raises(AssertionError, match="records"):
-        corpus.records
 
 
 def test_hand_built_record_ids_reach_the_shards(tmp_path):
@@ -881,7 +878,7 @@ def test_hand_built_record_ids_reach_the_shards(tmp_path):
     langs = synth_multiparallel(5, 1).languages
     records = [SentenceRecord(i, {lang.code: f"{lang.code} s{i} w" for lang in langs}) for i in ids]
     corpus = MultiParallelCorpus(langs, records)
-    assert [corpus.records[i].id for i in range(len(corpus))] == ids
+    assert list(corpus.ids) == ids
     for reform in ("none", "parse", "mips"):
         cfg = BuildConfig(
             task="multiparallel", reform=reform, n_train=60, batch_size=20, seed=2, n_valid=10,

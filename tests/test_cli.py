@@ -285,6 +285,39 @@ def test_stats_matches_manifest(tmp_path, multi_corpus):
     assert recount["tags"] == manifest["splits"]["train"]["tags"]
 
 
+def test_stats_counts_with_shards_or_seg_exits_2(tmp_path):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("3\n5\n", encoding="utf-8")
+    code, out, _ = run_cli(["stats", "--counts", str(counts)])
+    assert code == 0 and json.loads(out)["n_examples"] == 2
+    for extra in (
+        [str(tmp_path / "train-00000.jsonl")],
+        ["--seg", "codepoints"],
+        ["--seg", "unicode_words"],
+        [str(tmp_path / "nope.jsonl"), "--seg", "whitespace"],
+    ):
+        code, out, err = run_cli(["stats", "--counts", str(counts), *extra])
+        assert (code, out) == (2, "")
+        assert err == "error: --counts takes no shard paths or --seg\n"
+
+
+def test_corpus_format_with_multiparallel_task_exits_2(tmp_path, multi_corpus):
+    config = tmp_path / "config.json"
+    config.write_text('{"task": "multiparallel", "reform": "none"}', encoding="utf-8")
+    for name, task in (
+        ("flag", ["--task", "multiparallel", "--reform", "none"]),
+        ("preset", ["--preset", "parse_mix80"]),
+        ("config", ["--config", str(config)]),
+    ):
+        code, out, err = run_cli(
+            ["build", "--corpus", str(multi_corpus), "--corpus-format", "tsv",
+             "--out", str(tmp_path / name), "--n-train", "10", "--batch-size", "5", *task]
+        )
+        assert (code, out) == (2, ""), name
+        assert err == "error: --corpus-format is only for the bilingual task\n"
+        assert not (tmp_path / name).exists()
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -520,6 +553,11 @@ _ROW_ERRORS = [
     (
         "aaa_Latn\tbbb_Latn\t10.0\t5\nbbb_Latn\taaa_Latn\t50.0\t5\naaa_Latn\tbbb_Latn\t90.0\t5\n",
         "line 4: duplicate direction aaa_Latn-bbb_Latn, first on line 2",
+    ),
+    # the first error in file order wins: the duplicate before the bad row
+    (
+        "aaa_Latn\tbbb_Latn\t10.0\t5\naaa_Latn\tbbb_Latn\t90.0\t5\naaa_Latn\tbbb_Latn\tforty\t5\n",
+        "line 3: duplicate direction aaa_Latn-bbb_Latn, first on line 2",
     ),
 ]
 

@@ -30,6 +30,14 @@ from reformkit.errors import AlignmentError, UsageError, ValidationError
 from reformkit.synth import synth_bilingual, synth_multiparallel
 
 
+def _records(corpus):
+    """The corpus as ``SentenceRecord``s, read through ``ids`` and ``text``."""
+    return [
+        SentenceRecord(corpus.ids[i], {code: corpus.text(i, code) for code in corpus.codes})
+        for i in range(len(corpus))
+    ]
+
+
 def _write_tsv(path, rows):
     path.write_text("".join(f"{s}\t{t}\n" for s, t in rows), encoding="utf-8")
 
@@ -117,7 +125,7 @@ def test_bilingual_lines_split_at_lf_only(tmp_path):
 
 def test_task_and_corpus_kind_must_match(tmp_path):
     bilingual = synth_bilingual(20, seed=1)
-    multi = MultiParallelCorpus(bilingual.languages, bilingual.records)
+    multi = MultiParallelCorpus(bilingual.languages, _records(bilingual))
     assert isinstance(bilingual, MultiParallelCorpus)
     for task, corpus, message in (
         ("multiparallel", bilingual, "multiparallel task needs a MultiParallelCorpus"),
@@ -145,14 +153,15 @@ def test_load_multiparallel(tmp_path):
     corpus = load_multiparallel(_toy_multi(tmp_path))
     assert len(corpus) == 10
     assert len(corpus.languages) == 4
-    for rec in corpus.records:
-        assert len(rec.texts) == 4
+    for i in range(len(corpus)):
+        for code in corpus.codes:
+            assert corpus.text(i, code) == f"{code} sentence {i}"
     # manifest metadata preserved
     assert corpus.language("aaa_Latn").in_pretrain is True
     assert corpus.language("ccc_Latn").in_pretrain is False
     assert corpus.language("ddd_Latn").pretrain_size == 4000
     # record ids dense
-    assert [r.id for r in corpus.records] == list(range(10))
+    assert list(corpus.ids) == list(range(10))
 
 
 def test_load_multiparallel_via_manifest_path(tmp_path):
@@ -167,7 +176,7 @@ def test_multiparallel_lines_split_at_lf_only(tmp_path):
     (tmp_path / "bbb.txt").write_bytes(b"x\r\ny")  # CRLF, and no final LF
     (tmp_path / "ccc.txt").write_text("p\nq\n", encoding="utf-8")
     corpus = load_multiparallel(tmp_path)
-    assert [r.texts for r in corpus.records] == [
+    assert [r.texts for r in _records(corpus)] == [
         {"aaa": "one\u2028two\x85three", "bbb": "x", "ccc": "p"},
         {"aaa": "four\x0cfive", "bbb": "y", "ccc": "q"},
     ]
@@ -213,7 +222,7 @@ def test_multiparallel_non_utf8_names_file_and_line(tmp_path):
 
 def test_language_lookup_is_not_part_of_equality_or_repr(tmp_path):
     corpus = load_multiparallel(_toy_multi(tmp_path))
-    same = MultiParallelCorpus(corpus.languages, corpus.records)
+    same = MultiParallelCorpus(corpus.languages, _records(corpus))
     assert same == corpus and repr(same) == repr(corpus)
     assert "_by_code" not in repr(corpus)
     with pytest.raises(ValidationError, match="unknown language: zzz"):
@@ -228,7 +237,7 @@ def test_multiparallel_round_trip(tmp_path):
     write_multiparallel(corpus, out)
     again = load_multiparallel(out)
     assert again.codes == corpus.codes
-    assert [r.texts for r in again.records] == [r.texts for r in corpus.records]
+    assert _records(again) == _records(corpus)
     assert corpus_digest(again) == corpus_digest(corpus)
 
 
@@ -236,13 +245,13 @@ def test_split_sizes_exact_and_disjoint(tmp_path):
     corpus = load_multiparallel(_toy_multi(tmp_path, n=100))
     train, valid, test = split(corpus, (80, 10, 10), seed=7)
     assert (len(train), len(valid), len(test)) == (80, 10, 10)
-    texts = lambda c: {r.texts["aaa_Latn"] for r in c.records}
+    texts = lambda c: {c.text(i, "aaa_Latn") for i in range(len(c))}
     assert texts(train) | texts(valid) | texts(test) <= texts(corpus)
     assert not texts(train) & texts(valid)
     assert not texts(train) & texts(test)
     assert not texts(valid) & texts(test)
     # ids re-densified per split
-    assert [r.id for r in valid.records] == list(range(10))
+    assert list(valid.ids) == list(range(10))
 
 
 def test_split_deterministic_and_seed_sensitive(tmp_path):
@@ -250,7 +259,7 @@ def test_split_deterministic_and_seed_sensitive(tmp_path):
     a1, _, _ = split(corpus, (80, 10, 10), seed=7)
     a2, _, _ = split(corpus, (80, 10, 10), seed=7)
     b1, _, _ = split(corpus, (80, 10, 10), seed=8)
-    key = lambda c: [r.texts["aaa_Latn"] for r in c.records]
+    key = lambda c: [c.text(i, "aaa_Latn") for i in range(len(c))]
     assert key(a1) == key(a2)
     assert key(a1) != key(b1)
 
@@ -324,12 +333,21 @@ def test_record_missing_language_rejected():
     langs = (Language("aaa"), Language("bbb"))
     with pytest.raises(AlignmentError, match="bbb"):
         MultiParallelCorpus(langs, (SentenceRecord(0, {"aaa": "x"}),))
+    # a text in a language the corpus does not list is dropped; ids keep
+    # the records' order
+    ids = (10, 3, 77)
+    records = [SentenceRecord(i, {"aaa": f"a{i}", "bbb": f"b{i}", "zzz": "extra"}) for i in ids]
+    corpus = MultiParallelCorpus(langs, records)
+    assert len(corpus) == 3 and list(corpus.ids) == list(ids)
+    assert corpus.text(2, "bbb") == "b77"
+    with pytest.raises(ValidationError, match="unknown language: zzz"):
+        corpus.text(0, "zzz")
 
 
 def _with_texts(corpus, edits):
     """A copy of a multi-parallel corpus with {(record index, code): text} applied."""
     records = []
-    for i, rec in enumerate(corpus.records):
+    for i, rec in enumerate(_records(corpus)):
         texts = dict(rec.texts)
         for (j, code), text in edits.items():
             if j == i:
@@ -352,8 +370,8 @@ def test_digest_sees_a_character_moved_across_a_text_boundary():
     corpus = _small_multi()
     # the column joins to the same string, only the boundary moves
     moved = _with_texts(corpus, {(0, "aaa_Latn"): "ab", (1, "aaa_Latn"): " cde"})
-    assert "".join(r.texts["aaa_Latn"] for r in moved.records) == "".join(
-        r.texts["aaa_Latn"] for r in corpus.records
+    assert "".join(moved.text(i, "aaa_Latn") for i in range(len(moved))) == "".join(
+        corpus.text(i, "aaa_Latn") for i in range(len(corpus))
     )
     assert corpus_digest(moved) != corpus_digest(corpus)
     pairs = (("ab", "cd"), ("ef", "gh"))
@@ -374,13 +392,13 @@ def test_digest_sees_two_languages_swapping_texts():
             SentenceRecord(
                 rec.id, {**rec.texts, "aaa_Latn": rec.texts["ccc_Hans"], "ccc_Hans": rec.texts["aaa_Latn"]}
             )
-            for rec in corpus.records
+            for rec in _records(corpus)
         ),
     )
     assert corpus_digest(swapped) != corpus_digest(corpus)
     # one record only
     one = _with_texts(
-        corpus, {(2, "aaa_Latn"): corpus.records[2].texts["bbb_Tibt"], (2, "bbb_Tibt"): "fgh"}
+        corpus, {(2, "aaa_Latn"): corpus.text(2, "bbb_Tibt"), (2, "bbb_Tibt"): "fgh"}
     )
     assert corpus_digest(one) != corpus_digest(corpus)
     bi = BilingualCorpus(Language("src"), Language("tgt"), (("ab", "cd"), ("ef", "gh")))
@@ -391,7 +409,7 @@ def test_digest_sees_two_languages_swapping_texts():
 def test_digest_sees_any_one_text_changing():
     corpus = _small_multi()
     digests = {corpus_digest(corpus)}
-    for i, rec in enumerate(corpus.records):
+    for i, rec in enumerate(_records(corpus)):
         for code, text in rec.texts.items():
             for changed in (text + "x", text[:-1] or "y", "Z" + text[1:]):
                 digests.add(corpus_digest(_with_texts(corpus, {(i, code): changed})))
@@ -442,10 +460,7 @@ def test_loaded_hand_built_and_split_corpora_are_equal_values(tmp_path):
     assert split(built, (30, 6, 4), seed=5) == parts
     # a part is the same value as its records packed by hand
     for part in parts:
-        by_hand = MultiParallelCorpus(
-            loaded.languages,
-            [SentenceRecord(r.id, dict(r.texts)) for r in part.records],
-        )
+        by_hand = MultiParallelCorpus(loaded.languages, _records(part))
         assert by_hand == part
         assert corpus_digest(by_hand) == corpus_digest(part)
     for corpus in (loaded, built, *parts):
@@ -456,27 +471,6 @@ def test_loaded_hand_built_and_split_corpora_are_equal_values(tmp_path):
     assert parts[0] != loaded and corpus_digest(parts[0]) != corpus_digest(loaded)
     # the same texts in another language order are another corpus value
     assert MultiParallelCorpus(tuple(reversed(loaded.languages)), records) != loaded
-
-
-def test_records_view_builds_records_from_the_columns():
-    langs = (Language("aaa"), Language("bbb"))
-    ids = (10, 3, 77)
-    records = [SentenceRecord(i, {"aaa": f"a{i}", "bbb": f"b{i}", "zzz": "extra"}) for i in ids]
-    corpus = MultiParallelCorpus(langs, records)
-    view = corpus.records
-    assert len(view) == len(corpus) == 3
-    assert [r.id for r in view] == list(ids)
-    # only the corpus languages are kept
-    assert view[0] == SentenceRecord(10, {"aaa": "a10", "bbb": "b10"})
-    assert view[-1].id == 77
-    with pytest.raises(IndexError):
-        view[3]
-    with pytest.raises(TypeError):
-        view[0] = records[0]
-    assert corpus.text(2, "bbb") == "b77"
-    with pytest.raises(ValidationError, match="unknown language: zzz"):
-        corpus.text(0, "zzz")
-    assert MultiParallelCorpus(langs, view) == corpus
 
 
 def test_missing_or_empty_text_keeps_its_error(tmp_path):
@@ -504,7 +498,9 @@ def test_loaded_corpus_is_smaller_than_its_texts_as_strings(tmp_path):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    as_strings = sum(sys.getsizeof(text) for rec in corpus.records for text in rec.texts.values())
+    as_strings = sum(
+        sys.getsizeof(corpus.text(i, code)) for i in range(len(corpus)) for code in corpus.codes
+    )
     assert held < as_strings
 
 

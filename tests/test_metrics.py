@@ -21,8 +21,8 @@ from reformkit.metrics import (
     _add_order_stats,
     average_directions,
     bleu,
+    check_distinct_directions,
     chrfpp,
-    first_duplicate_direction,
     score,
     score_direction,
 )
@@ -283,10 +283,10 @@ def _pinned_directions():
     directions = []
     for src, tgt in (("l03_Arab", "eng_Latn"), ("eng_Latn", "l04_Tibt")):
         hyps, refs = [], []
-        for record in corpus.records:
-            ref = record.texts[tgt]
+        for i in range(len(corpus)):
+            ref = corpus.text(i, tgt)
             words = [w for w in ref.split() if rng.random() > 0.2]
-            words = [rng.choice(record.texts[src].split()) if rng.random() < 0.2 else w for w in words]
+            words = [rng.choice(corpus.text(i, src).split()) if rng.random() < 0.2 else w for w in words]
             hyps.append(" ".join(words))
             refs.append(ref)
         directions.append((hyps, refs))
@@ -411,12 +411,14 @@ def test_average_directions_rejects_duplicates():
         average_directions([])
 
 
-def test_first_duplicate_direction_names_both_scores():
+def test_check_distinct_directions_names_the_first_duplicate():
     scores = [
         DirectionScore("aaa", "bbb", 10.0, 5),
         DirectionScore("bbb", "aaa", 50.0, 5),
         DirectionScore("bbb", "ccc", 20.0, 5),
     ]
-    assert first_duplicate_direction(scores) is None
+    check_distinct_directions(scores)
     scores += [DirectionScore("bbb", "ccc", 30.0, 5), DirectionScore("aaa", "bbb", 90.0, 5)]
-    assert first_duplicate_direction(scores) == (2, 3)
+    with pytest.raises(ValidationError) as err:
+        check_distinct_directions(scores)
+    assert str(err.value) == "duplicate direction: bbb-ccc"

@@ -189,8 +189,8 @@ def test_policy_dict_round_trip():
 
 def test_prefix_law_draw():
     rng = random.Random(4)
-    assert fixed(0.3).draw(rng) == 0.3
-    u = [policy_at(0, mix(0.5, 10)).prefix_law.draw(rng) for _ in range(100)]
+    assert fixed(0.3).draw_with(lambda: rng) == 0.3
+    u = [policy_at(0, mix(0.5, 10)).prefix_law.draw_with(lambda: rng) for _ in range(100)]
     assert all(0.0 <= v < 1.0 for v in u)
     assert len(set(u)) > 90
 
