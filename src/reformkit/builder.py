@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import random
 import re
 from bisect import bisect_left
@@ -28,8 +27,9 @@ from .corpus import (
     _substream,
     corpus_digest,
     example_from_record,
-    open_utf8,
     partition,
+    read_lines,
+    write_atomic,
 )
 from .errors import ValidationError
 from .reformulate import (
@@ -378,9 +378,7 @@ def _shard_job(
         tally.truncated += obj["meta"]["truncated"]
         lines.append(_ENCODER.encode(obj) + "\n")
     payload = "".join(lines).encode("utf-8")
-    tmp_path = out_path.with_name(out_path.name + ".tmp")
-    tmp_path.write_bytes(payload)
-    os.replace(tmp_path, out_path)
+    write_atomic(out_path, (payload,))
     shard = {
         "path": out_path.name,
         "n_examples": len(assignments),
@@ -503,9 +501,7 @@ def build(
         splits=splits,
     )
     payload = json.dumps(manifest.as_dict(), sort_keys=True, indent=2) + "\n"
-    tmp = out_dir / "manifest.json.tmp"
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, out_dir / "manifest.json")
+    write_atomic(out_dir / "manifest.json", (payload.encode("utf-8"),))
     # a rebuild into a reused directory must not leave shards of an older
     # build for a glob over the directory to pick up
     listed = {shard["path"] for split in splits.values() for shard in split["shards"]}
@@ -530,22 +526,21 @@ def stats(shard_paths: Iterable[str | Path], seg: Segmenter | None = None) -> di
     seg = seg or Segmenter()
     tally = _Tally()
     for path in shard_paths:
-        with open_utf8(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    obj = None
-                if not (
-                    isinstance(obj, dict)
-                    and isinstance(obj.get("tag"), str)
-                    and isinstance(obj.get("input"), str)
-                    and isinstance(obj.get("target"), str)
-                ):
-                    raise ValidationError(
-                        f"{path}: line {lineno}: expected a JSON object with string tag, input and target"
-                    )
-                tally.add(obj["tag"], count_units(obj["input"], seg), count_units(obj["target"], seg))
+        for lineno, line in enumerate(read_lines(path), 1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                obj = None
+            if not (
+                isinstance(obj, dict)
+                and isinstance(obj.get("tag"), str)
+                and isinstance(obj.get("input"), str)
+                and isinstance(obj.get("target"), str)
+            ):
+                raise ValidationError(
+                    f"{path}: line {lineno}: expected a JSON object with string tag, input and target"
+                )
+            tally.add(obj["tag"], count_units(obj["input"], seg), count_units(obj["target"], seg))
     return tally.summary()
 
 

@@ -21,8 +21,9 @@ from .corpus import (
     load_bilingual,
     load_manifest,
     load_multiparallel,
+    read_json,
     read_lines,
-    read_utf8,
+    write_atomic,
     write_multiparallel,
 )
 from .errors import ReformkitError, UsageError, ValidationError
@@ -105,13 +106,6 @@ def _env_seed() -> int | None:
         raise ValidationError(f"REFORMKIT_SEED must be an integer, got {raw!r}") from exc
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True, ensure_ascii=False))
 
@@ -134,7 +128,7 @@ def _cmd_build(args) -> int:
             raise ValidationError(f"unknown preset: {args.preset!r}")
         config.update(PRESETS[args.preset])
     if args.config:
-        loaded = json.loads(read_utf8(args.config))
+        loaded = read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
         config.update(loaded)
@@ -188,6 +182,8 @@ def _schedule_policy(args):
 def _cmd_schedule(args) -> int:
     policy = _schedule_policy(args)
     if args.at is not None:
+        if args.resolution is not None:
+            raise UsageError("--at takes no --resolution")
         sp = policy_at(args.at, policy)
         _emit(
             {
@@ -198,21 +194,22 @@ def _cmd_schedule(args) -> int:
             }
         )
         return 0
-    sys.stdout.write(curve_tsv(policy, args.resolution))
+    sys.stdout.write(curve_tsv(policy, 11 if args.resolution is None else args.resolution))
     return 0
 
 
 def _cmd_score(args) -> int:
     if (args.src is None) != (args.tgt is None):
         raise UsageError("--src and --tgt go together")
+    if args.metric == "chrfpp" and (args.smoothing is not None or args.k is not None):
+        raise UsageError("--metric chrfpp takes no --smoothing or --k")
+    if args.k is not None and args.smoothing != "add_k":
+        raise UsageError("--k needs --smoothing add_k")
     # without the CR of a CRLF ending
     hyps = [line.removesuffix("\r") for line in read_lines(args.hyp)]
     refs = [line.removesuffix("\r") for line in read_lines(args.ref)]
-    cfg = ScoreConfig(
-        metric=args.metric,
-        smoothing=args.smoothing,
-        smoothing_k=args.k,
-    )
+    knobs = {"smoothing": args.smoothing, "smoothing_k": args.k}
+    cfg = ScoreConfig(metric=args.metric, **{k: v for k, v in knobs.items() if v is not None})
     value = score(hyps, refs, cfg)
     out = {"metric": args.metric, "value": value, "n": len(hyps), "config": asdict(cfg)}
     if args.src is not None:
@@ -272,13 +269,15 @@ def _cmd_analyze(args) -> int:
         scatter = pretrain_scatter(scores, langs, args.scatter)
         out["scatter"] = scatter.as_dict()
         if args.scatter_tsv:
-            _write_atomic(Path(args.scatter_tsv), scatter_tsv(scatter))
+            write_atomic(args.scatter_tsv, (scatter_tsv(scatter).encode("utf-8"),))
     _emit(out)
     return 0
 
 
 def _cmd_presets(args) -> int:
     if args.name:
+        if args.json:
+            raise UsageError("--name takes no --json")
         if args.name not in PRESETS:
             raise ValidationError(f"unknown preset: {args.name!r}")
         print(json.dumps(PRESETS[args.name], sort_keys=True, indent=2))
@@ -332,12 +331,11 @@ def _cmd_smoke(args) -> int:
     test_path = next((out / "baseline").glob("test-*.jsonl"))
     targets = []
     directions: dict[tuple[str, str], list[str]] = {}
-    with test_path.open(encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            targets.append(obj["target"])
-            key = (obj["meta"]["source_lang"], obj["meta"]["target_lang"])
-            directions.setdefault(key, []).append(obj["target"])
+    for line in read_lines(test_path):
+        obj = json.loads(line)
+        targets.append(obj["target"])
+        key = (obj["meta"]["source_lang"], obj["meta"]["target_lang"])
+        directions.setdefault(key, []).append(obj["target"])
     copy_score = chrfpp(targets, targets)
 
     scores = [
@@ -345,18 +343,13 @@ def _cmd_smoke(args) -> int:
         for (src, tgt), texts in sorted(directions.items())
     ]
     report = breakdown(scores, corpus.languages)
-    _write_atomic(
-        out / "scores.json",
-        json.dumps(
-            {"copy_chrfpp": copy_score, "directions": [asdict(s) for s in scores]},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
-    _write_atomic(
-        out / "breakdown.json", json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    reports = {
+        "scores.json": {"copy_chrfpp": copy_score, "directions": [asdict(s) for s in scores]},
+        "breakdown.json": report.as_dict(),
+    }
+    for name, data in reports.items():
+        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        write_atomic(out / name, (text.encode("utf-8"),))
     _emit(
         {
             "out": str(out),
@@ -408,15 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frac", type=float)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--at", type=int, help="evaluate at one step (JSON); without it, print a TSV curve")
-    p.add_argument("--resolution", type=int, default=11, help="curve rows")
+    p.add_argument("--resolution", type=int, help="curve rows (default 11); not with --at")
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("score", help="score line-aligned hypothesis/reference files")
     p.add_argument("--metric", choices=("bleu", "chrfpp"), required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--smoothing", choices=("none", "add_k"), default="none")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--smoothing", choices=("none", "add_k"), help="bleu only; default none")
+    p.add_argument("--k", type=float, help="add_k constant, default 1.0; needs --smoothing add_k")
     p.add_argument("--src")
     p.add_argument("--tgt")
     p.set_defaults(func=_cmd_score)
@@ -465,7 +458,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ReformkitError, OSError, json.JSONDecodeError) as exc:
+    except (ReformkitError, OSError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)
         return 1
 

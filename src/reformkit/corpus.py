@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import struct
 import unicodedata
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AlignmentError, UsageError, ValidationError
 
@@ -190,33 +190,45 @@ def _utf8_error(path: str | Path) -> ValidationError:
     return ValidationError(f"{path}: not valid UTF-8")
 
 
-def read_utf8(path: str | Path) -> str:
-    """``Path.read_text`` in UTF-8, failing with a ValidationError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        raise _utf8_error(path) from None
-
-
-def read_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 file. Only LF ends a line (``str.splitlines``
-    also splits at U+2028, U+0085, form feed and a lone CR); the CR of a
-    CRLF ending stays on the line, and an empty file has no lines."""
-    lines = read_utf8(path).split("\n")
-    if not lines[-1]:  # after the final LF, or an empty file
-        lines.pop()
-    return lines
-
-
-@contextmanager
-def open_utf8(path: str | Path) -> Iterator[TextIO]:
-    """``Path.open`` in UTF-8 for reading, failing with a ValidationError.
-    Only LF ends a line; the CR of a CRLF ending stays on the line."""
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, read in 64 KiB blocks. Only LF ends a
+    line (``str.splitlines`` also splits at U+2028, U+0085, form feed and a
+    lone CR); the CR of a CRLF ending stays on the line, a final line needs
+    no LF, and an empty file has no lines. Bad UTF-8 fails with a
+    ValidationError once the reader reaches it."""
     try:
         with Path(path).open(encoding="utf-8", newline="\n") as fh:
-            yield fh
+            tail = ""
+            while block := fh.read(1 << 16):
+                lines = block.split("\n")
+                lines[0] = tail + lines[0]
+                tail = lines.pop()
+                yield from lines
+            if tail:
+                yield tail
     except UnicodeDecodeError:
         raise _utf8_error(path) from None
+
+
+def read_json(path: str | Path):
+    """The JSON value in a UTF-8 file; invalid JSON fails with a
+    ValidationError naming the line."""
+    try:
+        return json.loads("\n".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
+
+
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write the byte ``chunks`` to ``<name>.tmp`` beside ``path``, creating
+    the directory, then rename it over ``path``: a reader sees the old file
+    or the whole new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
 
 
 def _clean(raw: str) -> str:
@@ -236,39 +248,37 @@ def load_bilingual(
     sources: list[str] = []
     targets: list[str] = []
     bad: list[str] = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if fmt == "tsv":
-                cols = line.split("\t")
-                if len(cols) != 2:
-                    bad.append(f"line {lineno}: expected 2 columns, got {len(cols)}")
-                    continue
-                src, tgt = cols
-            else:
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    bad.append(f"line {lineno}: invalid JSON")
-                    continue
-                if not isinstance(obj, dict) or set(obj) != {"source", "target"}:
-                    bad.append(f'line {lineno}: object must have exactly keys "source" and "target"')
-                    continue
-                src, tgt = obj["source"], obj["target"]
-                if not isinstance(src, str) or not isinstance(tgt, str):
-                    bad.append(f"line {lineno}: source/target must be strings")
-                    continue
-                try:  # an escaped lone surrogate decodes but cannot be written
-                    src.encode("utf-8"), tgt.encode("utf-8")
-                except UnicodeEncodeError:
-                    bad.append(f"line {lineno}: source/target is not valid UTF-8 text")
-                    continue
-            src, tgt = _clean(src), _clean(tgt)
-            if not src or not tgt:
-                bad.append(f"line {lineno}: empty source or target after trimming")
+    for lineno, line in enumerate(read_lines(path), 1):
+        if fmt == "tsv":
+            cols = line.split("\t")
+            if len(cols) != 2:
+                bad.append(f"line {lineno}: expected 2 columns, got {len(cols)}")
                 continue
-            sources.append(src)
-            targets.append(tgt)
+            src, tgt = cols
+        else:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:
+                bad.append(f"line {lineno}: invalid JSON")
+                continue
+            if not isinstance(obj, dict) or set(obj) != {"source", "target"}:
+                bad.append(f'line {lineno}: object must have exactly keys "source" and "target"')
+                continue
+            src, tgt = obj["source"], obj["target"]
+            if not isinstance(src, str) or not isinstance(tgt, str):
+                bad.append(f"line {lineno}: source/target must be strings")
+                continue
+            try:  # an escaped lone surrogate decodes but cannot be written
+                src.encode("utf-8"), tgt.encode("utf-8")
+            except UnicodeEncodeError:
+                bad.append(f"line {lineno}: source/target is not valid UTF-8 text")
+                continue
+        src, tgt = _clean(src), _clean(tgt)
+        if not src or not tgt:
+            bad.append(f"line {lineno}: empty source or target after trimming")
+            continue
+        sources.append(src)
+        targets.append(tgt)
     if bad:
         raise ValidationError(f"{path}: {len(bad)} malformed row(s): " + "; ".join(bad))
     languages = (source_lang or Language("src"), target_lang or Language("tgt"))
@@ -277,15 +287,15 @@ def load_bilingual(
 
 
 def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None:
-    path = Path(path)
     if fmt not in ("tsv", "jsonl"):
         raise UsageError(f"unknown bilingual format: {fmt!r}")
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for src, tgt in corpus.pairs:
-            if fmt == "tsv":
-                fh.write(f"{src}\t{tgt}\n")
-            else:
-                fh.write(json.dumps({"source": src, "target": tgt}, ensure_ascii=False) + "\n")
+    lines = (
+        f"{src}\t{tgt}\n"
+        if fmt == "tsv"
+        else json.dumps({"source": src, "target": tgt}, ensure_ascii=False) + "\n"
+        for src, tgt in corpus.pairs
+    )
+    write_atomic(path, (line.encode("utf-8") for line in lines))
 
 
 def load_manifest(path: str | Path) -> list[Language]:
@@ -293,7 +303,7 @@ def load_manifest(path: str | Path) -> list[Language]:
     nonempty string, a bool and an int (not a bool). Each code appears once."""
     from .schedule import cast_scalar  # schedule imports this module
 
-    data = json.loads(read_utf8(path))
+    data = read_json(path)
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{path}: manifest must be a nonempty JSON array")
     langs = []
@@ -366,17 +376,15 @@ def load_multiparallel(
 
 def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest = [
         {"code": lang.code, "in_pretrain": lang.in_pretrain, "pretrain_size": lang.pretrain_size}
         for lang in corpus.languages
     ]
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-    )
-    for lang in corpus.languages:
-        lines = "".join(corpus.text(i, lang.code) + "\n" for i in range(len(corpus)))
-        (directory / f"{lang.code}.txt").write_text(lines, encoding="utf-8", newline="\n")
+    text = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
+    write_atomic(directory / "manifest.json", (text.encode("utf-8"),))
+    for code in corpus.codes:
+        lines = (corpus.text(i, code) + "\n" for i in range(len(corpus)))
+        write_atomic(directory / f"{code}.txt", (line.encode("utf-8") for line in lines))
 
 
 def _substream(seed: int, role: str, index: int) -> random.Random:

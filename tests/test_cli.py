@@ -78,6 +78,11 @@ def test_presets_listing_and_json():
     assert set(json.loads(out)) == set(PRESETS)
 
 
+def test_presets_name_with_json_exits_2():
+    code, out, err = run_cli(["presets", "--name", "mips_mix80", "--json"])
+    assert (code, out, err) == (2, "", "error: --name takes no --json\n")
+
+
 # ---------------------------------------------------------------- build
 
 
@@ -149,6 +154,11 @@ def test_build_seed_from_environment(tmp_path, multi_corpus, monkeypatch):
     code, out, _ = run_cli(argv + ["--seed", "5"])
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 5
+    monkeypatch.setenv("REFORMKIT_SEED", "seven")
+    argv[4] = str(tmp_path / "b3")
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == "error: REFORMKIT_SEED must be an integer, got 'seven'\n"
 
 
 def test_build_seed_and_field_precedence(tmp_path, multi_corpus, monkeypatch):
@@ -211,6 +221,14 @@ def test_schedule_dump_tsv():
     assert fracs[0] == 1.0 and fracs[1] == 1.0 and all(f == 0.0 for f in fracs[2:])
 
 
+def test_schedule_at_with_resolution_exits_2():
+    code, out, err = run_cli(
+        ["schedule", "--kind", "mix", "--frac", "0.5", "--steps", "10", "--at", "3",
+         "--resolution", "5"]
+    )
+    assert (code, out, err) == (2, "", "error: --at takes no --resolution\n")
+
+
 def test_schedule_mask_preset_flag():
     code, out, _ = run_cli(["schedule", "--preset", "mask3", "--steps", "100", "--at", "60"])
     assert code == 0
@@ -229,15 +247,17 @@ def test_score_copy_is_100(tmp_path):
     payload = json.loads(out)
     assert payload["value"] == 100.0
     assert payload["n"] == 2
+    assert (payload["config"]["smoothing"], payload["config"]["smoothing_k"]) == ("none", 1.0)
 
 
 def test_score_lines_split_at_lf_only(tmp_path):
     hyp, ref = tmp_path / "h.txt", tmp_path / "r.txt"
-    hyp.write_text("the cat\u2028sat\nhello\n", encoding="utf-8")
-    ref.write_text("the cat sat\nhello\n", encoding="utf-8")
-    code, out, err = run_cli(["score", "--metric", "chrfpp", "--hyp", str(hyp), "--ref", str(ref)])
-    assert code == 0, err
-    assert json.loads(out)["n"] == 2
+    hyp.write_text("the cat\u2028sat\nhello\rthere\n", encoding="utf-8")
+    ref.write_text("the cat sat\nhello there\n", encoding="utf-8")
+    for metric in ("bleu", "chrfpp"):
+        code, out, err = run_cli(["score", "--metric", metric, "--hyp", str(hyp), "--ref", str(ref)])
+        assert code == 0, err
+        assert json.loads(out)["n"] == 2
 
 
 def test_score_crlf_equals_lf(tmp_path):
@@ -267,6 +287,31 @@ def test_score_bleu_smoothing_flags(tmp_path):
     payload = json.loads(out)
     assert payload["src"] == "xx" and payload["tgt"] == "yy"
     assert 0.0 < payload["value"] < 100.0
+
+
+def test_score_chrfpp_with_smoothing_or_k_exits_2(tmp_path):
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("ab cd\n", encoding="utf-8")
+    for extra in (
+        ["--smoothing", "none"],
+        ["--smoothing", "add_k"],
+        ["--k", "3"],
+        ["--smoothing", "add_k", "--k", "3"],
+    ):
+        code, out, err = run_cli(
+            ["score", "--metric", "chrfpp", "--hyp", str(hyp), "--ref", str(hyp), *extra]
+        )
+        assert (code, out, err) == (2, "", "error: --metric chrfpp takes no --smoothing or --k\n")
+
+
+def test_score_k_without_add_k_exits_2(tmp_path):
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("ab cd\n", encoding="utf-8")
+    for extra in (["--k", "3"], ["--smoothing", "none", "--k", "3"]):
+        code, out, err = run_cli(
+            ["score", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(hyp), *extra]
+        )
+        assert (code, out, err) == (2, "", "error: --k needs --smoothing add_k\n")
 
 
 def test_stats_matches_manifest(tmp_path, multi_corpus):
@@ -299,6 +344,18 @@ def test_stats_counts_with_shards_or_seg_exits_2(tmp_path):
         code, out, err = run_cli(["stats", "--counts", str(counts), *extra])
         assert (code, out) == (2, "")
         assert err == "error: --counts takes no shard paths or --seg\n"
+
+
+def test_stats_without_shards_or_counts_exits_2():
+    assert run_cli(["stats"]) == (2, "", "error: stats needs shard paths or --counts\n")
+
+
+def test_stats_counts_lone_cr_is_not_a_line_break(tmp_path):
+    counts = tmp_path / "counts.txt"
+    counts.write_bytes(b"3\r4\n")
+    code, out, err = run_cli(["stats", "--counts", str(counts)])
+    assert (code, out) == (1, "")
+    assert err == f"error: {counts}: line 1: not an integer: '3\\r4'\n"
 
 
 def test_corpus_format_with_multiparallel_task_exits_2(tmp_path, multi_corpus):
@@ -372,6 +429,7 @@ def test_unknown_preset_exits_1(tmp_path, multi_corpus):
     )
     assert code == 1
     assert err.startswith("error:")
+    assert run_cli(["presets", "--name", "nope"]) == (1, "", "error: unknown preset: 'nope'\n")
 
 
 def test_zero_batch_size_exits_1(tmp_path):
@@ -393,6 +451,17 @@ def test_non_object_config_exits_1(tmp_path, multi_corpus):
          "--out", str(tmp_path / "b")]
     )
     assert (code, out, err) == (1, "", f"error: {config}: config must be a JSON object\n")
+
+
+def test_truncated_config_exits_1(tmp_path, multi_corpus):
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "task": "multiparallel",\n  "reform": \n}\n', encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b")]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {config}: line 4: invalid JSON: Expecting value\n"
 
 
 @pytest.mark.parametrize("bad", ['{"tag":"baseline","input":"a"}', "[1,2]", "not json"])
@@ -462,6 +531,11 @@ def test_unknown_schedule_preset_exits_2():
     assert err == "error: unknown schedule preset: 'warmup' (curriculum1..3 or mask1..4)\n"
 
 
+def test_schedule_without_preset_or_kind_exits_2():
+    code, out, err = run_cli(["schedule", "--steps", "10"])
+    assert (code, out, err) == (2, "", "error: schedule needs --preset or --kind\n")
+
+
 def test_missing_frac_exits_2():
     code, _, err = run_cli(["schedule", "--kind", "mix", "--steps", "100"])
     assert code == 2
@@ -529,6 +603,7 @@ _GOOD_LANGS = '[{"code": "eng_Latn"}, {"code": "l01_Cyrl"}]'
             '[{"code": "aaa", "pretrain_size": -3}]',
             "langs.json: entry 0: aaa: pretrain_size must be >= 0",
         ),
+        (_GOOD_SCORES, '[{"code": "eng_Latn"},', "langs.json: line 1: invalid JSON: Expecting value"),
     ],
 )
 def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):
@@ -545,6 +620,7 @@ def test_analyze_bad_input_is_one_error_line(tmp_path, scores, langs, where):
 
 
 _ROW_ERRORS = [
+    ("aaa_Latn\tbbb_Latn\t10.0\n", "line 2: expected src, tgt, value, n"),
     ("aaa_Latn\taaa_Latn\t10.0\t5\n", "line 2: direction must have distinct languages"),
     ("aaa_Latn\tbbb_Latn\tnan\t5\n", "line 2: score nan outside [0, 100]"),
     ("aaa_Latn\tbbb_Latn\t100.5\t5\n", "line 2: score 100.5 outside [0, 100]"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import random
 import sys
 import tracemalloc
 
@@ -22,6 +23,7 @@ from reformkit.corpus import (
     load_bilingual,
     load_manifest,
     load_multiparallel,
+    read_lines,
     split,
     write_bilingual,
     write_multiparallel,
@@ -71,7 +73,8 @@ def test_load_jsonl_count_matches_line_count(tmp_path):
         for i in range(100):
             fh.write(json.dumps({"source": f"s{i}", "target": f"t{i}"}) + "\n")
     # independent line counter
-    n_lines = sum(1 for _ in path.open(encoding="utf-8"))
+    with path.open(encoding="utf-8") as fh:
+        n_lines = sum(1 for _ in fh)
     corpus = load_bilingual(path, "jsonl")
     assert len(corpus) == n_lines == 100
 
@@ -81,6 +84,22 @@ def test_load_jsonl_rejects_extra_keys(tmp_path):
     path.write_text('{"source": "a", "target": "b", "score": 1}\n', encoding="utf-8")
     with pytest.raises(ValidationError, match="line 1"):
         load_bilingual(path, "jsonl")
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ('{"source": "a", "target": ', "line 2: invalid JSON"),
+        ('{"source": 3, "target": "b"}', "line 2: source/target must be strings"),
+        ('["a", "b"]', 'line 2: object must have exactly keys "source" and "target"'),
+    ],
+)
+def test_load_jsonl_malformed_row_names_line(tmp_path, row, message):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('{"source": "a", "target": "b"}\n' + row + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_bilingual(path, "jsonl")
+    assert str(err.value) == f"{path}: 1 malformed row(s): {message}"
 
 
 def test_unknown_format(tmp_path):
@@ -172,13 +191,13 @@ def test_load_multiparallel_via_manifest_path(tmp_path):
 
 def test_multiparallel_lines_split_at_lf_only(tmp_path):
     _toy_multi(tmp_path, n=0, codes=("aaa", "bbb", "ccc"))
-    (tmp_path / "aaa.txt").write_text("one\u2028two\x85three\nfour\x0cfive\n", encoding="utf-8")
+    (tmp_path / "aaa.txt").write_text("one\rtwo\u2028three\x85four\nfive\x0csix\n", encoding="utf-8")
     (tmp_path / "bbb.txt").write_bytes(b"x\r\ny")  # CRLF, and no final LF
     (tmp_path / "ccc.txt").write_text("p\nq\n", encoding="utf-8")
     corpus = load_multiparallel(tmp_path)
     assert [r.texts for r in _records(corpus)] == [
-        {"aaa": "one\u2028two\x85three", "bbb": "x", "ccc": "p"},
-        {"aaa": "four\x0cfive", "bbb": "y", "ccc": "q"},
+        {"aaa": "one\rtwo\u2028three\x85four", "bbb": "x", "ccc": "p"},
+        {"aaa": "five\x0csix", "bbb": "y", "ccc": "q"},
     ]
     # empty files make an empty corpus; a lone LF is one empty sentence
     for code in ("aaa", "bbb", "ccc"):
@@ -186,6 +205,33 @@ def test_multiparallel_lines_split_at_lf_only(tmp_path):
     assert len(load_multiparallel(tmp_path)) == 0
     (tmp_path / "ccc.txt").write_text("\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 1: empty sentence"):
+        load_multiparallel(tmp_path)
+
+
+def _lf_only_oracle(path):
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def test_read_lines_matches_an_lf_only_oracle(tmp_path):
+    # lines cross the 64 KiB block boundaries; one spans several blocks
+    rng = random.Random(5)
+    alphabet = "ab \t\r\x0c\x85\u2028\U0001f600"
+    lines = ["".join(rng.choices(alphabet, k=rng.randrange(3000))) for _ in range(150)]
+    lines.insert(70, "x" * 200_000)
+    path = tmp_path / "lines.txt"
+    for text in ("\n".join(lines) + "\n", "\n".join(lines), "\r\n".join(lines), "", "\n", "a"):
+        path.write_bytes(text.encode("utf-8"))
+        assert list(read_lines(path)) == _lf_only_oracle(path)
+    assert len(list(read_lines(path))) == 1
+
+
+def test_multiparallel_truncated_manifest_is_a_validation_error(tmp_path):
+    manifest = _toy_multi(tmp_path) / "manifest.json"
+    manifest.write_text(manifest.read_text(encoding="utf-8")[:-5], encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{manifest}: line 1: invalid JSON: "):
         load_multiparallel(tmp_path)
 
 
