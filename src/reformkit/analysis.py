@@ -8,7 +8,7 @@ languages, by English involvement, and against pretraining-corpus size
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .corpus import Language
@@ -36,9 +36,6 @@ class BreakdownReport:
     from_eng: Cell
     avg: Cell
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ScatterRow:
@@ -56,14 +53,28 @@ class ScatterReport:
     spearman: float
     degenerate: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _mean_cell(values: Sequence[float]) -> Cell:
     if not values:
         return Cell(None, 0)
     return Cell(math.fsum(values) / len(values), len(values))
+
+
+def _checked_metadata(
+    scores: Sequence[DirectionScore], langs: Iterable[Language]
+) -> dict[str, Language]:
+    """The code -> ``Language`` map of ``langs``, once ``scores`` is known
+    to hold each direction once and both languages of every score are in
+    the map."""
+    check_distinct_directions(scores)
+    meta = {lang.code: lang for lang in langs}
+    for s in scores:
+        # two tests, not a loop over (s.src, s.tgt): see the GC note in
+        # ``check_distinct_directions``
+        if s.src not in meta or s.tgt not in meta:
+            code = s.src if s.src not in meta else s.tgt
+            raise ValidationError(f"language {code} missing from metadata")
+    return meta
 
 
 def breakdown(
@@ -79,39 +90,17 @@ def breakdown(
     """
     if not scores:
         raise ValidationError("no direction scores to break down")
-    check_distinct_directions(scores)
-    meta = {lang.code: lang for lang in langs}
-    cells: dict[str, list[float]] = {
-        "in_in": [],
-        "out_in": [],
-        "in_out": [],
-        "out_out": [],
-        "to_eng": [],
-        "from_eng": [],
-    }
-    all_values = []
+    meta = _checked_metadata(scores, langs)
+    cells: dict[str, list[float]] = {f.name: [] for f in fields(BreakdownReport)}
     for s in scores:
-        for code in (s.src, s.tgt):
-            if code not in meta:
-                raise ValidationError(f"language {code} missing from metadata")
-        src_in = meta[s.src].in_pretrain
-        tgt_in = meta[s.tgt].in_pretrain
-        key = ("in_" if src_in else "out_") + ("in" if tgt_in else "out")
-        cells[key].append(s.value)
+        src_in, tgt_in = meta[s.src].in_pretrain, meta[s.tgt].in_pretrain
+        cells[("in_" if src_in else "out_") + ("in" if tgt_in else "out")].append(s.value)
         if s.tgt == english_code:
             cells["to_eng"].append(s.value)
         if s.src == english_code:
             cells["from_eng"].append(s.value)
-        all_values.append(s.value)
-    return BreakdownReport(
-        in_in=_mean_cell(cells["in_in"]),
-        out_in=_mean_cell(cells["out_in"]),
-        in_out=_mean_cell(cells["in_out"]),
-        out_out=_mean_cell(cells["out_out"]),
-        to_eng=_mean_cell(cells["to_eng"]),
-        from_eng=_mean_cell(cells["from_eng"]),
-        avg=_mean_cell(all_values),
-    )
+        cells["avg"].append(s.value)
+    return BreakdownReport(**{name: _mean_cell(values) for name, values in cells.items()})
 
 
 def _midranks(values: Sequence[float]) -> list[float]:
@@ -164,14 +153,10 @@ def pretrain_scatter(
     """
     if direction not in ("from_lang", "into_lang"):
         raise ValidationError(f"unknown scatter direction: {direction!r}")
-    check_distinct_directions(scores)
-    meta = {lang.code: lang for lang in langs}
+    meta = _checked_metadata(scores, langs)
     grouped: dict[str, list[float]] = {}
     for s in scores:
-        code = s.src if direction == "from_lang" else s.tgt
-        if code not in meta:
-            raise ValidationError(f"language {code} missing from metadata")
-        grouped.setdefault(code, []).append(s.value)
+        grouped.setdefault(s.src if direction == "from_lang" else s.tgt, []).append(s.value)
 
     rows = []
     excluded = []

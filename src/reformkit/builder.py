@@ -46,6 +46,7 @@ from .reformulate import (
 from .schedule import (
     MASK_PRESETS,
     SchedulePolicy,
+    cast_fields,
     decode,
     mask_preset,
     mix,
@@ -88,6 +89,7 @@ class BuildConfig:
     mean_span: int = 3
 
     def __post_init__(self) -> None:
+        cast_fields(self)
         if self.task not in ("bilingual", "multiparallel"):
             raise ValidationError(f"unknown task: {self.task!r}")
         if self.reform not in REFORM_KINDS:

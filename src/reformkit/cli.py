@@ -27,13 +27,7 @@ from .corpus import (
     write_multiparallel,
 )
 from .errors import ReformkitError, UsageError, ValidationError
-from .metrics import (
-    DirectionScore,
-    ScoreConfig,
-    chrfpp,
-    score,
-    score_direction,
-)
+from .metrics import DirectionScore, ScoreConfig, chrfpp, score
 from .schedule import (
     MASK_PRESETS,
     SchedulePolicy,
@@ -264,10 +258,10 @@ def _cmd_analyze(args) -> int:
     scores = _read_direction_scores(args.scores)
     langs = load_manifest(args.langs)
     report = breakdown(scores, langs, english_code=args.english)
-    out = {"breakdown": report.as_dict()}
+    out = {"breakdown": asdict(report)}
     if args.scatter:
         scatter = pretrain_scatter(scores, langs, args.scatter)
-        out["scatter"] = scatter.as_dict()
+        out["scatter"] = asdict(scatter)
         if args.scatter_tsv:
             write_atomic(args.scatter_tsv, (scatter_tsv(scatter).encode("utf-8"),))
     _emit(out)
@@ -339,13 +333,13 @@ def _cmd_smoke(args) -> int:
     copy_score = chrfpp(targets, targets)
 
     scores = [
-        score_direction(src, tgt, texts, texts, ScoreConfig(metric="chrfpp"))
+        DirectionScore(src, tgt, chrfpp(texts, texts), len(texts))
         for (src, tgt), texts in sorted(directions.items())
     ]
     report = breakdown(scores, corpus.languages)
     reports = {
         "scores.json": {"copy_chrfpp": copy_score, "directions": [asdict(s) for s in scores]},
-        "breakdown.json": report.as_dict(),
+        "breakdown.json": asdict(report),
     }
     for name, data in reports.items():
         text = json.dumps(data, sort_keys=True, indent=2) + "\n"

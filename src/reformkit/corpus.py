@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import struct
 import unicodedata
 from array import array
@@ -46,6 +47,9 @@ class Language:
 class SentenceRecord:
     id: int
     texts: dict[str, str]
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _column(texts: Sequence[str]) -> tuple[str, array]:
@@ -96,6 +100,8 @@ class MultiParallelCorpus:
                     text = rec.texts.get(code)
                     if not text:
                         raise AlignmentError(f"record {rec.id}: missing text for language {code}")
+                    if _SURROGATE.search(text):  # a str, but not writable as UTF-8
+                        raise ValidationError(f"record {rec.id}: {code} text is not valid UTF-8")
                     texts[code].append(text)
             columns = {code: _column(texts[code]) for code in codes}
         elif ids is None or set(columns) != set(codes):
@@ -222,12 +228,16 @@ def read_json(path: str | Path):
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write the byte ``chunks`` to ``<name>.tmp`` beside ``path``, creating
     the directory, then rename it over ``path``: a reader sees the old file
-    or the whole new one."""
+    or the whole new one. A failed write removes ``<name>.tmp``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.writelines(chunks)
+    try:
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -327,14 +337,10 @@ def load_manifest(path: str | Path) -> list[Language]:
     return langs
 
 
-def load_multiparallel(
-    path: str | Path,
-    languages: Sequence[Language] | None = None,
-) -> MultiParallelCorpus:
+def load_multiparallel(path: str | Path) -> MultiParallelCorpus:
     """Load aligned one-file-per-language text, checking full alignment.
 
-    ``path`` is either the corpus directory or its manifest file. When
-    ``languages`` is given it overrides the manifest.
+    ``path`` is either the corpus directory or its manifest file.
     """
     path = Path(path)
     if path.is_file():
@@ -343,11 +349,9 @@ def load_multiparallel(
     else:
         directory = path
         manifest_path = path / "manifest.json"
-    if languages is None:
-        if not manifest_path.exists():
-            raise ValidationError(f"no manifest found at {manifest_path}")
-        languages = load_manifest(manifest_path)
-    langs = tuple(languages)
+    if not manifest_path.exists():
+        raise ValidationError(f"no manifest found at {manifest_path}")
+    langs = tuple(load_manifest(manifest_path))
 
     columns: dict[str, tuple[str, array]] = {}
     expected: int | None = None

@@ -207,12 +207,6 @@ def score(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig) -> float:
     return chrfpp(hyps, refs, cfg)
 
 
-def score_direction(
-    src: str, tgt: str, hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig
-) -> DirectionScore:
-    return DirectionScore(src=src, tgt=tgt, value=score(hyps, refs, cfg), n_sentences=len(hyps))
-
-
 def check_distinct_directions(scores: Iterable[DirectionScore]) -> None:
     """Reject a score list that holds some (src, tgt) direction twice."""
     # Keyed by source, then target: a (src, tgt) key would allocate a tuple

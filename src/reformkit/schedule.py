@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ValidationError
@@ -52,6 +53,7 @@ class SchedulePolicy:
     mean_span: int = 3
 
     def __post_init__(self) -> None:
+        cast_fields(self)
         if self.kind not in POLICY_KINDS:
             raise ValidationError(f"unknown schedule kind: {self.kind!r}")
         if self.total_steps < 1:
@@ -275,6 +277,22 @@ def cast_scalar(name: str, annotation, value):
     return float(value) if annotation is float else value
 
 
+# a dataclass's resolved annotations (strings under postponed evaluation)
+_hints = cache(get_type_hints)
+
+
+def cast_fields(obj) -> None:
+    """Store each field of the frozen dataclass ``obj`` as ``cast_scalar``
+    returns it, item by item for a tuple field: the rule ``decode`` applies
+    to JSON, so an int given for a float field compares, hashes and echoes
+    as the float a rebuild from that echo holds."""
+    for name, hint in _hints(type(obj)).items():
+        value = getattr(obj, name)
+        if get_origin(hint) is tuple:
+            value = tuple(cast_scalar(name, get_args(hint)[0], item) for item in value)
+        object.__setattr__(obj, name, cast_scalar(name, hint, value))
+
+
 def decode(cls, data, where: str = "config", **given):
     """The dataclass ``cls`` built from the JSON object ``data``.
 
@@ -295,7 +313,7 @@ def decode(cls, data, where: str = "config", **given):
     missing = sorted(required - set(values))
     if missing:
         raise ValidationError(f"{where} missing required keys: {missing}")
-    hints = get_type_hints(cls)  # annotations are strings under postponed evaluation
+    hints = _hints(cls)
     return cls(**{name: _decode_field(name, hints[name], value) for name, value in values.items()})
 
 

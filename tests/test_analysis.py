@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import pytest
 from scipy import stats as scipy_stats
@@ -91,9 +92,20 @@ def test_breakdown_unknown_language_errors():
         breakdown([], LANGS)
 
 
+def test_breakdown_and_scatter_need_metadata_for_both_languages():
+    langs = [Language("a", pretrain_size=10), Language("b", pretrain_size=20)]
+    scores = [DirectionScore("a", "b", 50.0, 2), DirectionScore("a", "zzz", 70.0, 2)]
+    with pytest.raises(ValidationError, match="^language zzz missing from metadata$"):
+        breakdown(scores, langs)
+    # the side the scatter does not group by is checked too
+    for direction in ("from_lang", "into_lang"):
+        with pytest.raises(ValidationError, match="^language zzz missing from metadata$"):
+            pretrain_scatter(scores, langs, direction)
+
+
 def test_breakdown_report_serializes():
     report = breakdown(_all_directions(), LANGS)
-    data = report.as_dict()
+    data = asdict(report)
     assert data["avg"]["n"] == 12
     assert set(data) == {"in_in", "out_in", "in_out", "out_out", "to_eng", "from_eng", "avg"}
 

@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import reformkit.builder
+import reformkit.cli
 from reformkit.builder import BuildConfig, build
 from reformkit.schedule import mix
 from reformkit.synth import synth_multiparallel
@@ -63,3 +64,23 @@ def test_build_calls_the_traced_parallel_kernels(tmp_path, monkeypatch):
         turned_on = sum(ex["tag"] == reform or "parse_fallback" in ex["meta"] for ex in examples)
         assert len(examples) == 240 and 0 < turned_on < 200
         assert calls == {"example_from_record": len(examples), f"{reform}_reform": turned_on}
+
+
+def test_analyze_calls_the_traced_analyses(tmp_path, monkeypatch):
+    calls: Counter = Counter()
+    for name in ("breakdown", "pretrain_scatter"):
+        fn = getattr(reformkit.cli, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(reformkit.cli, name, counted)
+    codes = ("eng_Latn", "deu_Latn", "xxa_Latn")
+    langs = [{"code": c, "in_pretrain": c != "xxa_Latn", "pretrain_size": 10} for c in codes]
+    (tmp_path / "langs.json").write_text(json.dumps(langs), encoding="utf-8")
+    rows = "".join(f"{a}\t{b}\t50\t5\n" for a in codes for b in codes if a != b)
+    (tmp_path / "scores.tsv").write_text(rows, encoding="utf-8")
+    argv = ["analyze", "--scores", str(tmp_path / "scores.tsv"), "--langs", str(tmp_path / "langs.json")]
+    assert reformkit.cli.main([*argv, "--scatter", "from_lang"]) == 0
+    assert calls == {"breakdown": 1, "pretrain_scatter": 1}

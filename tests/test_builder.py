@@ -635,7 +635,8 @@ def test_config_dict_round_trip():
 
 
 
-_fraction = st.floats(0.0, 1.0)
+# 0 and 1 also as ints, which a config built in Python may hold
+_fraction = st.one_of(st.sampled_from((0, 1)), st.floats(0.0, 1.0))
 
 
 @st.composite
@@ -675,8 +676,37 @@ def _configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_configs())
 def test_config_json_round_trip(cfg):
-    data = cfg.to_dict()
-    assert BuildConfig.from_dict(json.loads(json.dumps(data))).to_dict() == data
+    # compared as JSON text, where 1 and 1.0 differ
+    text = json.dumps(cfg.to_dict(), sort_keys=True)
+    assert json.dumps(BuildConfig.from_dict(json.loads(text)).to_dict(), sort_keys=True) == text
+
+
+def test_equal_configs_write_equal_manifests(tmp_path):
+    corpus = synth_bilingual(60, seed=2)
+
+    def config(one, zero):
+        return BuildConfig(
+            task="bilingual",
+            reform="mask1",
+            n_train=20,
+            batch_size=10,
+            front_share=one,
+            split_fracs=(0.5, zero, zero),
+            schedule=mask_window(zero, one, 0.3, 2),
+        )
+
+    as_ints, as_floats = config(1, 0), config(1.0, 0.0)
+    assert as_ints == as_floats and hash(as_ints) == hash(as_floats)
+    build(corpus, as_ints, tmp_path / "ints")
+    echoed = json.loads((tmp_path / "ints" / "manifest.json").read_text(encoding="utf-8"))["config"]
+    build(corpus, as_floats, tmp_path / "floats")
+    build(corpus, BuildConfig.from_dict(echoed), tmp_path / "echo")
+    manifests = {(tmp_path / d / "manifest.json").read_bytes() for d in ("ints", "floats", "echo")}
+    assert len(manifests) == 1
+    assert b'"front_share": 1.0' in manifests.pop()
+    # a bool field takes only a bool, as when the config is read from JSON
+    with pytest.raises(ValidationError, match="span must be a bool, got 1"):
+        mask_window(0.0, 1.0, 0.3, 2, span=1)
 
 
 def test_config_codec_rules_at_each_level():

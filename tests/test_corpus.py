@@ -25,6 +25,7 @@ from reformkit.corpus import (
     load_multiparallel,
     read_lines,
     split,
+    write_atomic,
     write_bilingual,
     write_multiparallel,
 )
@@ -534,6 +535,36 @@ def test_missing_or_empty_text_keeps_its_error(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_multiparallel(tmp_path)
     assert str(err.value) == f"{target}: line 3: empty sentence"
+
+
+def test_hand_built_lone_surrogate_is_rejected():
+    with pytest.raises(ValidationError) as err:
+        BilingualCorpus(Language("a"), Language("b"), [("x", "y"), ("p\ud800", "q")])
+    assert str(err.value) == "record 1: a text is not valid UTF-8"
+    langs = (Language("aaa"), Language("bbb"))
+    records = [
+        SentenceRecord(7, {"aaa": "x", "bbb": "y"}),
+        SentenceRecord(3, {"aaa": "z", "bbb": "w\udfff"}),
+    ]
+    with pytest.raises(ValidationError, match="^record 3: bbb text is not valid UTF-8$"):
+        MultiParallelCorpus(langs, records)
+    # a character outside the BMP is one code point, not a surrogate pair
+    astral = BilingualCorpus(Language("a"), Language("b"), [("x\U0001F600", "y")])
+    assert astral.pairs == (("x\U0001F600", "y"),)
+
+
+def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "c.tsv"
+    write_atomic(target, (b"old\n",))
+
+    def chunks():
+        yield b"new\n"
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        write_atomic(target, chunks())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.tsv"]
+    assert target.read_bytes() == b"old\n"
 
 
 def test_loaded_corpus_is_smaller_than_its_texts_as_strings(tmp_path):

@@ -24,7 +24,6 @@ from reformkit.metrics import (
     check_distinct_directions,
     chrfpp,
     score,
-    score_direction,
 )
 from reformkit.synth import synth_multiparallel
 
@@ -351,8 +350,6 @@ def test_score_dispatch():
     hyps, refs = ["the cat"], ["the cat"]
     assert score(hyps, refs, ScoreConfig(metric="bleu")) == 100.0
     assert score(hyps, refs, ScoreConfig(metric="chrfpp")) == 100.0
-    d = score_direction("deu_Latn", "eng_Latn", hyps, refs, ScoreConfig())
-    assert d.value == 100.0 and d.n_sentences == 1
 
 
 def test_score_config_validation():
