@@ -44,6 +44,7 @@ from .reformulate import (
     span_mask,
 )
 from .schedule import (
+    KIND_MASK_WINDOW,
     MASK_PRESETS,
     SchedulePolicy,
     cast_fields,
@@ -86,7 +87,6 @@ class BuildConfig:
     seg: Segmenter = field(default_factory=Segmenter)
     split_fracs: tuple[float, float, float] = (0.9, 0.05, 0.05)
     front_share: float = 0.5
-    mean_span: int = 3
 
     def __post_init__(self) -> None:
         cast_fields(self)
@@ -110,25 +110,25 @@ class BuildConfig:
             raise ValidationError("split_fracs must sum to at most 1")
         if not 0.0 <= self.front_share <= 1.0:
             raise ValidationError("front_share must be in [0, 1]")
-        if self.mean_span < 1:
-            raise ValidationError("mean_span must be >= 1")
+        # a mask reform masks by its mask window, and no other reform masks
+        kind = None if self.schedule is None else self.schedule.kind
+        if kind is not None and (kind == KIND_MASK_WINDOW) != (self.reform in MASK_PRESETS):
+            raise ValidationError(f"reform {self.reform} takes no {kind} schedule")
 
     @property
     def total_steps(self) -> int:
         return math.ceil(self.n_train / self.batch_size)
 
     def effective_schedule(self) -> SchedulePolicy | None:
-        """The schedule actually used: total_steps re-derived, mask presets
-        expanded, and a full-reform default for scaffold builds without an
-        explicit schedule."""
+        """The schedule actually used: none for reform "none", else
+        total_steps re-derived, mask presets expanded, and a full-reform
+        default for scaffold builds without an explicit schedule."""
         T = self.total_steps
-        if self.schedule is not None:
-            return replace(self.schedule, total_steps=T)
-        if self.reform in MASK_PRESETS:
-            return mask_preset(self.reform, T, mean_span=self.mean_span)
         if self.reform == "none":
             return None
-        return mix(1.0, T)
+        if self.schedule is not None:
+            return replace(self.schedule, total_steps=T)
+        return mask_preset(self.reform, T) if self.reform in MASK_PRESETS else mix(1.0, T)
 
     def to_dict(self) -> dict:
         schedule = self.effective_schedule()
@@ -280,7 +280,7 @@ def _build_example(
         else:
             reform_on = fraction >= 1.0
 
-    if not reform_on or cfg.reform == "none":
+    if not reform_on or cfg.reform in MASK_PRESETS:  # a mask reform masks below
         out = baseline(example, cfg.fmt)
     elif cfg.reform == "pose":
         out = pose(example, step_policy.prefix_law.draw_with(rng), cfg.seg, cfg.fmt)
@@ -292,7 +292,7 @@ def _build_example(
         out = parse_reform(
             example, corpus.language(cfg.pivot), corpus.text(item_id, cfg.pivot), cfg.fmt
         )
-    elif cfg.reform == "mips":
+    else:  # mips
         aux_in, aux_out = _draw_aux(rng(), mips_codes, src_code, tgt_code)
         out = mips_reform(
             example,
@@ -302,14 +302,12 @@ def _build_example(
             corpus.text(item_id, aux_out),
             cfg.fmt,
         )
-    else:  # mask presets scaffold nothing; masking happens below
-        out = baseline(example, cfg.fmt)
 
     input_text, truncated, input_units = _truncate_parts(
         out.input_parts, cfg.max_len, cfg.seg, cfg.fmt
     )
 
-    if reform_on and step_policy is not None and step_policy.mask is not None:
+    if reform_on and step_policy.mask is not None:
         interim = ReformulatedExample(input_text, out.target_text, out.tag, out.meta)
         mask_cfg = step_policy.mask
         if mask_cfg.span:

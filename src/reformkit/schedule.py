@@ -24,14 +24,16 @@ KIND_CURRICULUM2 = "curriculum2"
 KIND_CURRICULUM3 = "curriculum3"
 KIND_MASK_WINDOW = "mask_window"
 
-POLICY_KINDS = (
-    KIND_WINDOW_FIRST,
-    KIND_MIX,
-    KIND_CURRICULUM1,
-    KIND_CURRICULUM2,
-    KIND_CURRICULUM3,
-    KIND_MASK_WINDOW,
-)
+# the fields each kind reads besides kind and total_steps, and echoes
+KIND_FIELDS = {
+    KIND_WINDOW_FIRST: ("frac",),
+    KIND_MIX: ("frac",),
+    KIND_CURRICULUM1: (),
+    KIND_CURRICULUM2: (),
+    KIND_CURRICULUM3: (),
+    KIND_MASK_WINDOW: ("start_frac", "end_frac", "mask_p", "span", "mean_span"),
+}
+POLICY_KINDS = tuple(KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class SchedulePolicy:
 
     ``frac`` is the window cutoff for window_first and the constant
     probability for mix; ``start_frac``/``end_frac``/``mask_p``/``span``/
-    ``mean_span`` configure mask_window and are ignored otherwise.
+    ``mean_span`` configure mask_window. Other kinds take their defaults.
     """
 
     kind: str
@@ -56,21 +58,24 @@ class SchedulePolicy:
         cast_fields(self)
         if self.kind not in POLICY_KINDS:
             raise ValidationError(f"unknown schedule kind: {self.kind!r}")
+        for f in fields(self)[2:]:
+            if f.name not in KIND_FIELDS[self.kind] and getattr(self, f.name) != f.default:
+                raise ValidationError(f"{self.kind} schedule takes no {f.name}")
         if self.total_steps < 1:
             raise ValidationError("total_steps must be >= 1")
         if not 0.0 <= self.frac <= 1.0:
             raise ValidationError(f"fraction {self.frac} outside [0, 1]")
-        if self.kind == KIND_MASK_WINDOW:
-            if not 0.0 <= self.start_frac <= self.end_frac <= 1.0:
-                raise ValidationError(
-                    f"mask window [{self.start_frac}, {self.end_frac}) is not ordered in [0, 1]"
-                )
-            if not 0.0 < self.mask_p < 1.0:
-                raise ValidationError(f"mask rate {self.mask_p} outside (0, 1)")
-            if self.mean_span < 1:
-                raise ValidationError("mean_span must be >= 1")
-            if self.span:
-                check_span_rate(self.mask_p, self.mean_span)
+        # the defaults of the mask fields pass these checks
+        if not 0.0 <= self.start_frac <= self.end_frac <= 1.0:
+            raise ValidationError(
+                f"mask window [{self.start_frac}, {self.end_frac}) is not ordered in [0, 1]"
+            )
+        if not 0.0 < self.mask_p < 1.0:
+            raise ValidationError(f"mask rate {self.mask_p} outside (0, 1)")
+        if self.mean_span < 1:
+            raise ValidationError("mean_span must be >= 1")
+        if self.span:
+            check_span_rate(self.mask_p, self.mean_span)
 
 
 @dataclass(frozen=True)
@@ -165,11 +170,11 @@ MASK_PRESETS = {
 }
 
 
-def mask_preset(name: str, total_steps: int, mean_span: int = 3) -> SchedulePolicy:
+def mask_preset(name: str, total_steps: int) -> SchedulePolicy:
     if name not in MASK_PRESETS:
         raise ValidationError(f"unknown mask preset: {name!r}")
     start, end, p, span = MASK_PRESETS[name]
-    return mask_window(start, end, p, total_steps, span=span, mean_span=mean_span)
+    return mask_window(start, end, p, total_steps, span=span)
 
 
 def _clamp01(x: float) -> float:
@@ -242,18 +247,8 @@ def curve_tsv(policy: SchedulePolicy, resolution: int) -> str:
 
 
 def policy_to_dict(policy: SchedulePolicy) -> dict:
-    out: dict = {"kind": policy.kind, "total_steps": policy.total_steps}
-    if policy.kind in (KIND_WINDOW_FIRST, KIND_MIX):
-        out["frac"] = policy.frac
-    if policy.kind == KIND_MASK_WINDOW:
-        out.update(
-            start_frac=policy.start_frac,
-            end_frac=policy.end_frac,
-            mask_p=policy.mask_p,
-            span=policy.span,
-            mean_span=policy.mean_span,
-        )
-    return out
+    names = ("kind", "total_steps", *KIND_FIELDS[policy.kind])
+    return {name: getattr(policy, name) for name in names}
 
 
 def cast_scalar(name: str, annotation, value):
@@ -282,25 +277,44 @@ _hints = cache(get_type_hints)
 
 
 def cast_fields(obj) -> None:
-    """Store each field of the frozen dataclass ``obj`` as ``cast_scalar``
-    returns it, item by item for a tuple field: the rule ``decode`` applies
-    to JSON, so an int given for a float field compares, hashes and echoes
-    as the float a rebuild from that echo holds."""
+    """Store each field of the frozen dataclass ``obj`` as ``_cast_field``
+    gives it, by the rules ``decode`` applies to JSON, so an int given for a
+    float field compares, hashes and echoes as the float its echo rebuilds."""
     for name, hint in _hints(type(obj)).items():
-        value = getattr(obj, name)
-        if get_origin(hint) is tuple:
-            value = tuple(cast_scalar(name, get_args(hint)[0], item) for item in value)
-        object.__setattr__(obj, name, cast_scalar(name, hint, value))
+        object.__setattr__(obj, name, _cast_field(name, hint, getattr(obj, name), _instance))
+
+
+def _instance(cls, value, name: str):
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _cast_field(name: str, hint, value, nested):
+    """``value`` for the field ``name`` declared ``hint``: ``None`` if the hint
+    allows it, a tuple of cast items from a list or tuple, ``nested(cls, value,
+    name)`` for a dataclass ``cls`` (also ``cls | None``), else ``cast_scalar``."""
+    args = get_args(hint)
+    if value is None and type(None) in args:
+        return None
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"config key {name} must be a list")
+        return tuple(cast_scalar(name, args[0], item) for item in value)
+    nested_cls = [t for t in (hint, *args) if is_dataclass(t)]
+    if nested_cls:
+        return nested(nested_cls[0], value, name)
+    return cast_scalar(name, hint, value)
 
 
 def decode(cls, data, where: str = "config", **given):
     """The dataclass ``cls`` built from the JSON object ``data``.
 
     A null value counts as absent, an absent key takes the field default
-    and ``given`` fills keys that ``data`` lacks. Scalars go through
-    ``cast_scalar``, a dataclass field (also ``X | None``) decodes
-    recursively from an object, and a tuple field takes a list whose items
-    are cast one by one. ``where`` names this level in the messages.
+    and ``given`` fills keys that ``data`` lacks. Each value goes through
+    ``_cast_field``, as in ``cast_fields``, but a dataclass field (also
+    ``X | None``) decodes recursively from an object. ``where`` names this
+    level in the messages.
     """
     if not isinstance(data, dict):
         raise ValidationError(f"config key {where} must be an object")
@@ -313,17 +327,4 @@ def decode(cls, data, where: str = "config", **given):
     missing = sorted(required - set(values))
     if missing:
         raise ValidationError(f"{where} missing required keys: {missing}")
-    hints = _hints(cls)
-    return cls(**{name: _decode_field(name, hints[name], value) for name, value in values.items()})
-
-
-def _decode_field(name: str, hint, value):
-    args = get_args(hint)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ValidationError(f"config key {name} must be a list")
-        return tuple(cast_scalar(name, args[0], item) for item in value)
-    nested = [t for t in (hint, *args) if is_dataclass(t)]
-    if nested:
-        return decode(nested[0], value, name)
-    return cast_scalar(name, hint, value)
+    return cls(**{key: _cast_field(key, _hints(cls)[key], v, decode) for key, v in values.items()})

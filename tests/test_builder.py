@@ -36,6 +36,7 @@ from reformkit.corpus import (
 from reformkit.errors import ValidationError
 from reformkit.reformulate import ScaffoldFormat
 from reformkit.schedule import (
+    MASK_PRESETS,
     POLICY_KINDS,
     SchedulePolicy,
     curriculum1,
@@ -612,8 +613,9 @@ def test_config_dict_round_trip():
         assert str(err.value) == f"config key {key} must be an object"
     mask = {"kind": "mask_window", "start_frac": 0.0, "end_frac": 1.0, "mask_p": 0.1, "mean_span": 3}
     with pytest.raises(ValidationError, match="span must be a bool"):
-        BuildConfig.from_dict({**data, "schedule": {**mask, "span": "false"}})
-    assert BuildConfig.from_dict({**data, "schedule": {**mask, "span": False}}).schedule.span is False
+        BuildConfig.from_dict({**data, "reform": "mask1", "schedule": {**mask, "span": "false"}})
+    masked = {**data, "reform": "mask1", "schedule": {**mask, "span": False}}
+    assert BuildConfig.from_dict(masked).schedule.span is False
     # an int is a number for a float field, and is stored as a float
     assert type(BuildConfig.from_dict({**data, "front_share": 1}).front_share) is float
     # checked before the schedule's step count divides by it
@@ -655,13 +657,17 @@ def _schedules(draw, kind):
 @st.composite
 def _configs(draw):
     batch_size = draw(st.integers(1, 1000))
+    reform = draw(st.sampled_from(REFORM_KINDS))
+    # a mask reform takes only a mask window, and every other reform any other kind
+    masks = reform in MASK_PRESETS
+    kinds = tuple(kind for kind in POLICY_KINDS if (kind == "mask_window") == masks)
     return BuildConfig(
         task=draw(st.sampled_from(("bilingual", "multiparallel"))),
-        reform=draw(st.sampled_from(REFORM_KINDS)),
+        reform=reform,
         n_train=batch_size * draw(st.integers(1, 50)) + draw(st.integers(0, batch_size - 1)),
         batch_size=batch_size,
         seed=draw(st.integers(-(2**40), 2**40)),
-        schedule=draw(_schedules(draw(st.sampled_from(POLICY_KINDS + (None,))))),
+        schedule=draw(_schedules(draw(st.sampled_from(kinds + (None,))))),
         n_valid=draw(st.integers(0, 100)),
         max_len=draw(st.integers(1, 512)),
         pivot=draw(st.text(min_size=1, max_size=8)),
@@ -669,7 +675,6 @@ def _configs(draw):
         seg=Segmenter(draw(st.sampled_from(SEGMENTER_KINDS))),
         split_fracs=(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.25)), draw(st.floats(0.0, 0.25))),
         front_share=draw(_fraction),
-        mean_span=draw(st.integers(1, 9)),
     )
 
 
@@ -707,6 +712,76 @@ def test_equal_configs_write_equal_manifests(tmp_path):
     # a bool field takes only a bool, as when the config is read from JSON
     with pytest.raises(ValidationError, match="span must be a bool, got 1"):
         mask_window(0.0, 1.0, 0.3, 2, span=1)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("split_fracs", 0.5, "config key split_fracs must be a list"),
+        ("seg", "whitespace", "seg must be a Segmenter, got 'whitespace'"),
+        ("schedule", "mix", "schedule must be a SchedulePolicy, got 'mix'"),
+        ("fmt", {"delimiter": " "}, "fmt must be a ScaffoldFormat, got {'delimiter': ' '}"),
+    ],
+)
+def test_python_config_checks_containers_as_json_does(key, value, message):
+    minimal = {"task": "bilingual", "reform": "pose", "n_train": 10, "batch_size": 5}
+    with pytest.raises(ValidationError) as err:
+        BuildConfig(**minimal, **{key: value})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "reform, schedule",
+    [
+        ("none", mask_window(0.0, 1.0, 0.25, 2)),
+        ("pose", mask_window(0.0, 1.0, 0.25, 2, span=True)),
+        ("parse", mask_window(0.5, 1.0, 0.1, 2)),
+        ("mask4", mix(1.0, 2)),
+        ("mask4", window_first(0.5, 2)),
+        ("mask4", curriculum1(2)),
+    ],
+)
+def test_mask_reforms_pair_only_with_mask_windows(reform, schedule):
+    with pytest.raises(ValidationError) as err:
+        BuildConfig(task="multiparallel", reform=reform, n_train=20, batch_size=10, schedule=schedule)
+    assert str(err.value) == f"reform {reform} takes no {schedule.kind} schedule"
+
+
+def test_reform_none_has_no_schedule(tmp_path):
+    corpus = synth_bilingual(60, seed=3)
+    common = dict(task="bilingual", reform="none", n_train=40, batch_size=10, seed=5)
+    build(corpus, BuildConfig(**common), tmp_path / "plain")
+    manifest = build(corpus, BuildConfig(**common, schedule=mix(0.5, 4)), tmp_path / "mixed")
+    assert manifest.config["schedule"] is None
+    assert manifest.splits["train"]["tags"] == {"baseline": 40}
+    plain, mixed = (_shard_bytes(tmp_path / d) for d in ("plain", "mixed"))
+    assert plain == mixed
+    # the two configs echo one manifest
+    manifests = {(tmp_path / d / "manifest.json").read_bytes() for d in ("plain", "mixed")}
+    assert len(manifests) == 1
+
+
+def test_older_echo_rebuilds_without_its_mean_span(tmp_path):
+    # the echo of a mask4 build by a version whose config held a mean_span
+    older = {
+        "batch_size": 10, "fmt": {"delimiter": "\n", "target_lang_tag_template": ""},
+        "front_share": 0.5, "max_len": 256, "mean_span": 3, "n_test": 0, "n_train": 40,
+        "n_valid": 0, "pivot": "eng_Latn", "reform": "mask4",
+        "schedule": {
+            "end_frac": 1.0, "kind": "mask_window", "mask_p": 0.25, "mean_span": 3,
+            "span": True, "start_frac": 0.5, "total_steps": 4,
+        },
+        "seed": 5, "seg": {"kind": "unicode_words"}, "shard_size": 50000,
+        "split_fracs": [0.9, 0.05, 0.05], "task": "bilingual",
+    }
+    with pytest.raises(ValidationError, match=r"unknown config keys: \['mean_span'\]"):
+        BuildConfig.from_dict(older)
+    del older["mean_span"]
+    manifest = build(synth_bilingual(60, seed=3), BuildConfig.from_dict(older), tmp_path)
+    assert manifest.config == older
+    (shard,) = manifest.splits["train"]["shards"]
+    # the shard that version wrote
+    assert shard["sha256"] == "0620500a7b38b406bd2084e2b7dab775b25df5d8a5a86ca57823df164603e5d5"
 
 
 def test_config_codec_rules_at_each_level():

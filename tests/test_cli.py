@@ -453,6 +453,42 @@ def test_non_object_config_exits_1(tmp_path, multi_corpus):
     assert (code, out, err) == (1, "", f"error: {config}: config must be a JSON object\n")
 
 
+@pytest.mark.parametrize(
+    "reform, schedule",
+    [
+        ("none", {"kind": "mask_window", "end_frac": 1.0}),
+        ("pose", {"kind": "mask_window", "end_frac": 1.0, "span": True}),
+        ("parse", {"kind": "mask_window", "end_frac": 1.0}),
+        ("mask4", {"kind": "mix", "frac": 1.0}),
+        ("mask4", {"kind": "window_first", "frac": 0.5}),
+        ("mask4", {"kind": "curriculum1"}),
+    ],
+)
+def test_reform_with_a_schedule_it_takes_not_exits_1(tmp_path, multi_corpus, reform, schedule):
+    config = tmp_path / "config.json"
+    data = {"task": "multiparallel", "reform": reform, "n_train": 20, "batch_size": 10}
+    config.write_text(json.dumps({**data, "schedule": schedule}), encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b")]
+    )
+    message = f"error: reform {reform} takes no {schedule['kind']} schedule\n"
+    assert (code, out, err) == (1, "", message)
+
+
+def test_stray_schedule_field_exits_1(tmp_path, multi_corpus):
+    config = tmp_path / "config.json"
+    data = {"task": "multiparallel", "reform": "pose", "n_train": 20, "batch_size": 10}
+    config.write_text(
+        json.dumps({**data, "schedule": {"kind": "curriculum1", "frac": 0.3}}), encoding="utf-8"
+    )
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b")]
+    )
+    assert (code, out, err) == (1, "", "error: curriculum1 schedule takes no frac\n")
+
+
 def test_truncated_config_exits_1(tmp_path, multi_corpus):
     config = tmp_path / "config.json"
     config.write_text('{\n  "task": "multiparallel",\n  "reform": \n}\n', encoding="utf-8")

@@ -226,3 +226,26 @@ def test_schedule_validation():
         decode_schedule({"kind": 5, "total_steps": 10})
     assert type(decode_schedule({"kind": "mix", "total_steps": 10, "frac": 1}).frac) is float
     assert mask_preset("mask4", 10).mean_span == 3
+
+
+def test_a_kind_takes_only_the_fields_it_reads():
+    with pytest.raises(ValidationError) as err:
+        SchedulePolicy("mix", 10, frac=0.8, mask_p=0.5)
+    assert str(err.value) == "mix schedule takes no mask_p"
+    with pytest.raises(ValidationError) as err:
+        SchedulePolicy("curriculum1", 10, frac=0.3)
+    assert str(err.value) == "curriculum1 schedule takes no frac"
+    with pytest.raises(ValidationError) as err:
+        decode(SchedulePolicy, {"kind": "curriculum1", "frac": 0.3}, "schedule", total_steps=10)
+    assert str(err.value) == "curriculum1 schedule takes no frac"
+    with pytest.raises(ValidationError, match="window_first schedule takes no span"):
+        decode_schedule({"kind": "window_first", "total_steps": 10, "frac": 0.5, "span": True})
+    # a field at its default is not read either way, so it may be given
+    assert SchedulePolicy("curriculum2", 10, mean_span=3) == curriculum2(10)
+    # the echo holds the fields the kind reads
+    assert policy_to_dict(mix(0.8, 10)) == {"kind": "mix", "total_steps": 10, "frac": 0.8}
+    assert policy_to_dict(curriculum3(10)) == {"kind": "curriculum3", "total_steps": 10}
+    assert policy_to_dict(mask_preset("mask4", 10)) == {
+        "kind": "mask_window", "total_steps": 10, "start_frac": 0.5, "end_frac": 1.0,
+        "mask_p": 0.25, "span": True, "mean_span": 3,
+    }
