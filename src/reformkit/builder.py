@@ -15,9 +15,9 @@ import math
 import random
 import re
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,6 +46,7 @@ from .reformulate import (
 from .schedule import (
     KIND_MASK_WINDOW,
     MASK_PRESETS,
+    POLICY_KINDS,
     SchedulePolicy,
     cast_fields,
     decode,
@@ -56,7 +57,19 @@ from .schedule import (
 )
 from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_prefix
 
-REFORM_KINDS = ("none", "pose", "prefix_suffix", "parse", "mips") + tuple(MASK_PRESETS)
+# Per reform: schedule kinds it takes, reform-specific fields it reads, corpus and batch needs.
+Reform = namedtuple("Reform", "kinds reads parallel_scaffold min_langs", defaults=((), False, 0))
+_SCAFFOLD_KINDS = tuple(kind for kind in POLICY_KINDS if kind != KIND_MASK_WINDOW)
+REFORMS = {
+    "none": Reform(()),
+    "pose": Reform(_SCAFFOLD_KINDS),
+    "prefix_suffix": Reform(_SCAFFOLD_KINDS, ("front_share",)),
+    "parse": Reform(_SCAFFOLD_KINDS, ("pivot",), parallel_scaffold=True),
+    "mips": Reform(_SCAFFOLD_KINDS, parallel_scaffold=True, min_langs=4),
+    **{name: Reform((KIND_MASK_WINDOW,)) for name in MASK_PRESETS},
+}
+_REFORM_FIELDS = {name for row in REFORMS.values() for name in row.reads}
+REFORM_KINDS = tuple(REFORMS)
 
 _SPLITS = ("train", "valid", "test")
 _SHARD_NAME = re.compile(r"(train|valid|test)-[0-9]{5,}\.jsonl")
@@ -92,7 +105,7 @@ class BuildConfig:
         cast_fields(self)
         if self.task not in ("bilingual", "multiparallel"):
             raise ValidationError(f"unknown task: {self.task!r}")
-        if self.reform not in REFORM_KINDS:
+        if self.reform not in REFORMS:
             raise ValidationError(f"unknown reformulation: {self.reform!r}")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
@@ -110,24 +123,25 @@ class BuildConfig:
             raise ValidationError("split_fracs must sum to at most 1")
         if not 0.0 <= self.front_share <= 1.0:
             raise ValidationError("front_share must be in [0, 1]")
-        # a mask reform masks by its mask window, and no other reform masks
-        kind = None if self.schedule is None else self.schedule.kind
-        if kind is not None and (kind == KIND_MASK_WINDOW) != (self.reform in MASK_PRESETS):
-            raise ValidationError(f"reform {self.reform} takes no {kind} schedule")
+        row = REFORMS[self.reform]
+        if self.schedule is not None and self.schedule.kind not in row.kinds:
+            raise ValidationError(f"reform {self.reform} takes no {self.schedule.kind} schedule")
+        for f in fields(self):
+            if f.name in _REFORM_FIELDS.difference(row.reads) and getattr(self, f.name) != f.default:
+                raise ValidationError(f"reform {self.reform} takes no {f.name}")
 
     @property
     def total_steps(self) -> int:
         return math.ceil(self.n_train / self.batch_size)
 
     def effective_schedule(self) -> SchedulePolicy | None:
-        """The schedule actually used: none for reform "none", else
-        total_steps re-derived, mask presets expanded, and a full-reform
-        default for scaffold builds without an explicit schedule."""
+        """The schedule actually used: total_steps re-derived, a mask preset
+        expanded, full reform for a scaffold reform without one, none for none."""
         T = self.total_steps
-        if self.reform == "none":
-            return None
         if self.schedule is not None:
             return replace(self.schedule, total_steps=T)
+        if not REFORMS[self.reform].kinds:
+            return None
         return mask_preset(self.reform, T) if self.reform in MASK_PRESETS else mix(1.0, T)
 
     def to_dict(self) -> dict:
@@ -428,13 +442,14 @@ def _validate_against_corpus(corpus, cfg: BuildConfig) -> None:
     wanted = BilingualCorpus if cfg.task == "bilingual" else MultiParallelCorpus
     if type(corpus) is not wanted:
         raise ValidationError(f"{cfg.task} task needs a {wanted.__name__}")
-    if cfg.task == "bilingual" and cfg.reform in ("parse", "mips"):
+    row = REFORMS[cfg.reform]
+    if row.parallel_scaffold and cfg.task == "bilingual":
         raise ValidationError(f"{cfg.reform} needs a multi-parallel corpus")
-    if cfg.reform == "parse" and cfg.pivot not in corpus.codes:
+    if "pivot" in row.reads and cfg.pivot not in corpus.codes:
         raise ValidationError(f"pivot language {cfg.pivot} not in corpus")
-    if cfg.reform == "mips" and len(corpus.codes) < 4:
+    if len(corpus.codes) < row.min_langs:
         raise ValidationError(
-            f"mips needs at least 4 languages, corpus has {len(corpus.codes)}"
+            f"{cfg.reform} needs at least {row.min_langs} languages, corpus has {len(corpus.codes)}"
         )
 
 
@@ -454,7 +469,7 @@ def build(
 
     n_items = len(corpus)
     pools = partition(n_items, [math.floor(frac * n_items) for frac in cfg.split_fracs], cfg.seed)
-    mips_codes = tuple(sorted(corpus.codes)) if cfg.reform == "mips" else ()
+    mips_codes = tuple(sorted(corpus.codes))
 
     jobs = []
     for split, n_wanted, pool in zip(_SPLITS, (cfg.n_train, cfg.n_valid, cfg.n_test), pools):
@@ -512,9 +527,9 @@ def build(
 
 
 def batch_plan(cfg: BuildConfig, reform_active: bool) -> int:
-    """Examples per optimizer step, halved when a parallel-scaffold
-    reformulation doubles per-example content."""
-    halve = cfg.reform in ("parse", "mips") and reform_active
+    """Examples per optimizer step, halved when a parallel-scaffold reformulation
+    doubles per-example content; advisory, as ``step_index`` counts ``batch_size``."""
+    halve = REFORMS[cfg.reform].parallel_scaffold and reform_active
     if halve and cfg.batch_size % 2 != 0:
         raise ValidationError("batch_size must be even to halve for parse/mips")
     return cfg.batch_size // 2 if halve else cfg.batch_size

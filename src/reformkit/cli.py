@@ -309,7 +309,7 @@ def _smoke_builds(corpus, seed: int, out: Path) -> dict:
         manifest = build(corpus, cfg, out / name)
         summary[name] = {
             "tags": manifest.splits["train"]["tags"],
-            "examples_per_step": batch_plan(cfg, reform_active=reform in ("parse", "mips")),
+            "examples_per_step": batch_plan(cfg, reform_active=True),
         }
     return summary
 

@@ -392,9 +392,12 @@ def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> N
 
 
 def _substream(seed: int, role: str, index: int) -> random.Random:
-    """Independent RNG stream for one (role, index); order-free determinism."""
+    """Independent RNG stream for one (role, index); order-free determinism.
+    Every seed reaches a generator here, so this is where its range is checked."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     h = hashlib.blake2b(digest_size=16)
-    h.update((seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"))
+    h.update(seed.to_bytes(8, "big"))
     h.update(role.encode("utf-8"))
     h.update(index.to_bytes(8, "big"))
     return random.Random(int.from_bytes(h.digest(), "big"))

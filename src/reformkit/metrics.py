@@ -38,14 +38,14 @@ class ScoreConfig:
             raise ValidationError("max_ngram must be >= 1")
         if self.smoothing not in (SMOOTHING_NONE, SMOOTHING_ADD_K):
             raise ValidationError(f"unknown smoothing: {self.smoothing!r}")
-        if self.smoothing == SMOOTHING_ADD_K and self.smoothing_k <= 0:
-            raise ValidationError("smoothing_k must be > 0")
+        if not 0 < self.smoothing_k < math.inf:
+            raise ValidationError("smoothing_k must be finite and > 0")
         if self.char_n < 1:
             raise ValidationError("char_n must be >= 1")
         if self.word_n < 0:
             raise ValidationError("word_n must be >= 0")
-        if self.beta <= 0:
-            raise ValidationError("beta must be > 0")
+        if not 0 < self.beta < math.inf:
+            raise ValidationError("beta must be finite and > 0")
 
 
 @dataclass(frozen=True)

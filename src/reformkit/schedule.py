@@ -9,6 +9,7 @@ excluded from the segment below it.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
@@ -253,9 +254,9 @@ def policy_to_dict(policy: SchedulePolicy) -> dict:
 
 def cast_scalar(name: str, annotation, value):
     """``value`` checked against the scalar type a config field declares:
-    an int but not a bool for ``int``, any int or float (returned as a float)
-    for ``float``, only a bool for ``bool``, only a string for ``str``. Other
-    annotations pass through."""
+    an int but not a bool for ``int``, any finite int or float (returned as a
+    float) for ``float``, only a bool for ``bool``, only a string for ``str``.
+    Other annotations pass through."""
     if annotation is str:
         ok = isinstance(value, str)
     elif annotation is bool:
@@ -269,6 +270,9 @@ def cast_scalar(name: str, annotation, value):
     if not ok:
         article = "an" if annotation is int else "a"
         raise ValidationError(f"{name} must be {article} {annotation.__name__}, got {value!r}")
+    # compared exactly, so an int too large for a float fails here, not in float()
+    if annotation is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value) if annotation is float else value
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -31,6 +32,7 @@ from reformkit.corpus import (
     corpus_digest,
     load_multiparallel,
     partition,
+    split,
     write_multiparallel,
 )
 from reformkit.errors import ValidationError
@@ -105,6 +107,59 @@ def test_sample_pairs_bilingual_draws_are_pinned():
     assert within == [(i, *direction) for i in (13, 5, 21, 8)]
     beyond = sample_pairs(corpus, 9, 6, pool, "sample:train")
     assert beyond == [(i, *direction) for i in (13, 21, 21, 21, 21, 5, 8, 8, 5)]
+
+
+def _reference_draws(corpus, n, seed, pool, role):
+    """``sample_pairs`` by its documented law, as (position, source, target).
+    The cells of the pool are listed record by record, each record's in
+    (source slot, target slot) order with the target never the source; a
+    bilingual corpus has the one direction source to target. The role's
+    substream draws n cell indices, without replacement when n fits."""
+    codes = corpus.codes
+    if isinstance(corpus, BilingualCorpus):
+        directions = [codes]
+    else:
+        directions = [(src, tgt) for src in codes for tgt in codes if src != tgt]
+    cells = [(position, *direction) for position in pool for direction in directions]
+    rng = reformkit.corpus._substream(seed, role, 0)
+    if n <= len(cells):
+        picks = rng.sample(range(len(cells)), n)
+    else:
+        picks = [rng.randrange(len(cells)) for _ in range(n)]
+    return [cells[i] for i in picks]
+
+
+@pytest.mark.parametrize("multiparallel", [False, True], ids=["bilingual", "multiparallel"])
+def test_every_line_traces_to_its_corpus_cell(tmp_path, multiparallel):
+    # guards the sampler's decode with no pinned hash, so it outlives a re-pin
+    if multiparallel:
+        corpus = synth_multiparallel(6, 40, seed=8)
+        cfg = BuildConfig(
+            task="multiparallel", reform="mips", n_train=300, batch_size=50, seed=9,
+            schedule=mix(0.5, 1), n_valid=20, n_test=20, shard_size=70,
+        )
+    else:
+        # more train examples than train records, so some draws repeat a cell
+        corpus = synth_bilingual(60, seed=8)
+        cfg = BuildConfig(
+            task="bilingual", reform="pose", n_train=80, batch_size=10, seed=9,
+            n_valid=3, n_test=3, shard_size=30,
+        )
+    build(corpus, cfg, tmp_path)
+    sizes = [math.floor(frac * len(corpus)) for frac in cfg.split_fracs]
+    pools = partition(len(corpus), sizes, cfg.seed)
+    for name, n, pool in zip(("train", "valid", "test"), (cfg.n_train, cfg.n_valid, cfg.n_test), pools):
+        lines = _read_examples(tmp_path, name)
+        draws = _reference_draws(corpus, n, cfg.seed, pool, f"sample:{name}")
+        assert len(lines) == n
+        for line, (position, src, tgt) in zip(lines, draws):
+            meta = line["meta"]
+            assert (meta["source_lang"], meta["target_lang"]) == (src, tgt)
+            # the base texts come first, the scaffolds after the delimiter
+            assert line["input"].split("\n")[0] == corpus.text(position, src)
+            assert line["target"].split("\n")[0] == corpus.text(position, tgt)
+            if multiparallel:
+                assert meta["sentence_id"] == corpus.ids[position]
 
 
 def test_split_pools_disjoint_and_deterministic():
@@ -557,6 +612,46 @@ def test_config_validation():
         )
 
 
+def test_config_takes_only_finite_numbers():
+    minimal = {"task": "bilingual", "reform": "prefix_suffix", "n_train": 10, "batch_size": 5}
+    nan, inf = float("nan"), float("inf")
+    for key, value, bad in (
+        ("split_fracs", (nan, 0.05, 0.05), nan),
+        ("split_fracs", [0.9, inf, 0.0], inf),
+        ("front_share", -inf, -inf),
+    ):
+        with pytest.raises(ValidationError) as err:
+            BuildConfig(**minimal, **{key: value})
+        assert str(err.value) == f"{key} must be finite, got {bad!r}"
+        # JSON's NaN and Infinity literals, which json.loads accepts
+        text = json.dumps({**minimal, key: value})
+        with pytest.raises(ValidationError) as err:
+            BuildConfig.from_dict(json.loads(text))
+        assert str(err.value) == f"{key} must be finite, got {bad!r}"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_rejected(tmp_path, seed):
+    # seeds used to alias modulo 2**64: -1 built the shards of 2**64 - 1
+    multi = synth_multiparallel(4, 30)
+    cfg = BuildConfig(task="multiparallel", reform="none", n_train=10, batch_size=5, seed=seed)
+    for call in (
+        lambda: build(multi, cfg, tmp_path / "out"),
+        lambda: sample_pairs(multi, 5, seed),
+        lambda: split(multi, (10, 5, 5), seed),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == f"seed must be in [0, 2**64), got {seed}"
+    assert not list((tmp_path / "out").glob("*.jsonl"))
+
+
+def test_the_largest_seed_builds(tmp_path):
+    multi = synth_multiparallel(4, 30)
+    cfg = BuildConfig(task="multiparallel", reform="none", n_train=10, batch_size=5, seed=2**64 - 1)
+    assert build(multi, cfg, tmp_path).splits["train"]["n_examples"] == 10
+
+
 def test_config_corpus_mismatch(tmp_path):
     multi = synth_multiparallel(3, 20)
     cfg = BuildConfig(task="multiparallel", reform="mips", n_train=10, batch_size=5)
@@ -596,8 +691,10 @@ def test_config_dict_round_trip():
         BuildConfig.from_dict({**data, "n_train": 100.7})
     with pytest.raises(ValidationError, match="batch_size must be an int"):
         BuildConfig.from_dict({**data, "batch_size": True})
+    # front_share is read by prefix_suffix alone
+    scaffold = {**data, "reform": "prefix_suffix"}
     with pytest.raises(ValidationError, match="front_share must be a float"):
-        BuildConfig.from_dict({**data, "front_share": False})
+        BuildConfig.from_dict({**scaffold, "front_share": False})
     with pytest.raises(ValidationError, match="split_fracs must be a float"):
         BuildConfig.from_dict({**data, "split_fracs": ["0.8", 0.1, 0.1]})
     with pytest.raises(ValidationError, match="config key split_fracs must be a list"):
@@ -617,7 +714,7 @@ def test_config_dict_round_trip():
     masked = {**data, "reform": "mask1", "schedule": {**mask, "span": False}}
     assert BuildConfig.from_dict(masked).schedule.span is False
     # an int is a number for a float field, and is stored as a float
-    assert type(BuildConfig.from_dict({**data, "front_share": 1}).front_share) is float
+    assert type(BuildConfig.from_dict({**scaffold, "front_share": 1}).front_share) is float
     # checked before the schedule's step count divides by it
     with pytest.raises(ValidationError, match="batch_size must be >= 1"):
         BuildConfig.from_dict({**data, "batch_size": 0})
@@ -658,9 +755,18 @@ def _schedules(draw, kind):
 def _configs(draw):
     batch_size = draw(st.integers(1, 1000))
     reform = draw(st.sampled_from(REFORM_KINDS))
-    # a mask reform takes only a mask window, and every other reform any other kind
+    # a mask reform takes only a mask window, none no schedule, and every other
+    # reform any other kind
     masks = reform in MASK_PRESETS
-    kinds = tuple(kind for kind in POLICY_KINDS if (kind == "mask_window") == masks)
+    kinds = () if reform == "none" else tuple(
+        kind for kind in POLICY_KINDS if (kind == "mask_window") == masks
+    )
+    # pivot and front_share only for the reform that reads each
+    read = {}
+    if reform == "parse":
+        read["pivot"] = draw(st.text(min_size=1, max_size=8))
+    if reform == "prefix_suffix":
+        read["front_share"] = draw(_fraction)
     return BuildConfig(
         task=draw(st.sampled_from(("bilingual", "multiparallel"))),
         reform=reform,
@@ -670,11 +776,10 @@ def _configs(draw):
         schedule=draw(_schedules(draw(st.sampled_from(kinds + (None,))))),
         n_valid=draw(st.integers(0, 100)),
         max_len=draw(st.integers(1, 512)),
-        pivot=draw(st.text(min_size=1, max_size=8)),
         fmt=draw(st.sampled_from((ScaffoldFormat(), ScaffoldFormat(" | ", "<2{code}> ")))),
         seg=Segmenter(draw(st.sampled_from(SEGMENTER_KINDS))),
         split_fracs=(draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.25)), draw(st.floats(0.0, 0.25))),
-        front_share=draw(_fraction),
+        **read,
     )
 
 
@@ -695,7 +800,6 @@ def test_equal_configs_write_equal_manifests(tmp_path):
             reform="mask1",
             n_train=20,
             batch_size=10,
-            front_share=one,
             split_fracs=(0.5, zero, zero),
             schedule=mask_window(zero, one, 0.3, 2),
         )
@@ -708,7 +812,7 @@ def test_equal_configs_write_equal_manifests(tmp_path):
     build(corpus, BuildConfig.from_dict(echoed), tmp_path / "echo")
     manifests = {(tmp_path / d / "manifest.json").read_bytes() for d in ("ints", "floats", "echo")}
     assert len(manifests) == 1
-    assert b'"front_share": 1.0' in manifests.pop()
+    assert b'"end_frac": 1.0' in manifests.pop()
     # a bool field takes only a bool, as when the config is read from JSON
     with pytest.raises(ValidationError, match="span must be a bool, got 1"):
         mask_window(0.0, 1.0, 0.3, 2, span=1)
@@ -734,6 +838,8 @@ def test_python_config_checks_containers_as_json_does(key, value, message):
     "reform, schedule",
     [
         ("none", mask_window(0.0, 1.0, 0.25, 2)),
+        ("none", mix(0.5, 2)),
+        ("none", window_first(0.5, 2)),
         ("pose", mask_window(0.0, 1.0, 0.25, 2, span=True)),
         ("parse", mask_window(0.5, 1.0, 0.1, 2)),
         ("mask4", mix(1.0, 2)),
@@ -747,18 +853,28 @@ def test_mask_reforms_pair_only_with_mask_windows(reform, schedule):
     assert str(err.value) == f"reform {reform} takes no {schedule.kind} schedule"
 
 
-def test_reform_none_has_no_schedule(tmp_path):
-    corpus = synth_bilingual(60, seed=3)
-    common = dict(task="bilingual", reform="none", n_train=40, batch_size=10, seed=5)
-    build(corpus, BuildConfig(**common), tmp_path / "plain")
-    manifest = build(corpus, BuildConfig(**common, schedule=mix(0.5, 4)), tmp_path / "mixed")
-    assert manifest.config["schedule"] is None
-    assert manifest.splits["train"]["tags"] == {"baseline": 40}
-    plain, mixed = (_shard_bytes(tmp_path / d) for d in ("plain", "mixed"))
-    assert plain == mixed
-    # the two configs echo one manifest
-    manifests = {(tmp_path / d / "manifest.json").read_bytes() for d in ("plain", "mixed")}
-    assert len(manifests) == 1
+@pytest.mark.parametrize(
+    "reform, key, value",
+    [
+        ("pose", "front_share", 0.2),
+        ("parse", "front_share", 0.1),
+        ("mask1", "front_share", 0.9),
+        ("mips", "pivot", "xyz"),
+        ("pose", "pivot", "deu_Latn"),
+        ("none", "pivot", "xyz"),
+    ],
+)
+def test_a_reform_takes_only_the_fields_it_reads(reform, key, value):
+    minimal = {"task": "multiparallel", "reform": reform, "n_train": 20, "batch_size": 10}
+    for make in (BuildConfig, lambda **kw: BuildConfig.from_dict(kw)):
+        with pytest.raises(ValidationError) as err:
+            make(**minimal, **{key: value})
+        assert str(err.value) == f"reform {reform} takes no {key}"
+        # the default is not a setting, so an echo that holds it rebuilds
+        default = BuildConfig.__dataclass_fields__[key].default
+        assert make(**minimal, **{key: default}) == BuildConfig(**minimal)
+    reader = {"front_share": "prefix_suffix", "pivot": "parse"}[key]
+    assert getattr(BuildConfig(**{**minimal, "reform": reader, key: value}), key) == value
 
 
 def test_older_echo_rebuilds_without_its_mean_span(tmp_path):

@@ -457,6 +457,8 @@ def test_non_object_config_exits_1(tmp_path, multi_corpus):
     "reform, schedule",
     [
         ("none", {"kind": "mask_window", "end_frac": 1.0}),
+        ("none", {"kind": "mix", "frac": 0.5}),
+        ("none", {"kind": "window_first", "frac": 0.5}),
         ("pose", {"kind": "mask_window", "end_frac": 1.0, "span": True}),
         ("parse", {"kind": "mask_window", "end_frac": 1.0}),
         ("mask4", {"kind": "mix", "frac": 1.0}),
@@ -474,6 +476,66 @@ def test_reform_with_a_schedule_it_takes_not_exits_1(tmp_path, multi_corpus, ref
     )
     message = f"error: reform {reform} takes no {schedule['kind']} schedule\n"
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "reform, key, value",
+    [
+        ("pose", "front_share", 0.2),
+        ("parse", "front_share", 0.1),
+        ("mask1", "front_share", 0.9),
+        ("mips", "pivot", "xyz"),
+        ("pose", "pivot", "deu_Latn"),
+        ("none", "pivot", "xyz"),
+    ],
+)
+def test_reform_with_a_field_it_reads_not_exits_1(tmp_path, multi_corpus, reform, key, value):
+    config = tmp_path / "config.json"
+    data = {"task": "multiparallel", "reform": reform, "n_train": 20, "batch_size": 10}
+    config.write_text(json.dumps({**data, key: value}), encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b")]
+    )
+    assert (code, out, err) == (1, "", f"error: reform {reform} takes no {key}\n")
+
+
+def test_non_finite_config_number_exits_1(tmp_path, multi_corpus):
+    config = tmp_path / "config.json"
+    data = {"task": "multiparallel", "reform": "none", "n_train": 20, "batch_size": 10}
+    config.write_text(json.dumps({**data, "split_fracs": [float("nan"), 0.05, 0.05]}), encoding="utf-8")
+    assert "NaN" in config.read_text(encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b")]
+    )
+    assert (code, out, err) == (1, "", "error: split_fracs must be finite, got nan\n")
+
+
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_score_non_finite_k_exits_1(tmp_path, k):
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("a b c\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["score", "--metric", "bleu", "--hyp", str(hyp), "--ref", str(hyp),
+         "--smoothing", "add_k", "--k", k]
+    )
+    assert (code, out, err) == (1, "", "error: smoothing_k must be finite and > 0\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_exits_1(tmp_path, multi_corpus, monkeypatch, seed):
+    error = f"error: seed must be in [0, 2**64), got {seed}\n"
+    build_argv = ["build", "--corpus", str(multi_corpus), "--out", str(tmp_path / "b"),
+                  "--task", "multiparallel", "--reform", "none", "--n-train", "20",
+                  "--batch-size", "10"]
+    sample_argv = ["sample", "--corpus", str(multi_corpus), "--n", "3"]
+    smoke_argv = ["smoke", "--out", str(tmp_path / "s")]
+    for argv in (build_argv, sample_argv, smoke_argv):
+        assert run_cli([*argv, "--seed", seed]) == (1, "", error)
+        monkeypatch.setenv("REFORMKIT_SEED", seed)
+        assert run_cli(argv) == (1, "", error)
+        monkeypatch.delenv("REFORMKIT_SEED")
 
 
 def test_stray_schedule_field_exits_1(tmp_path, multi_corpus):

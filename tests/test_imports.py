@@ -1,5 +1,6 @@
 """Static checks over the reformkit modules: every name a module imports
-is used there or re-exported, and only ``corpus.py`` opens files."""
+is used there or re-exported, only ``corpus.py`` opens files, and only the
+reform table and the kernel dispatch name a reform by a string."""
 
 from __future__ import annotations
 
@@ -77,3 +78,44 @@ def test_only_corpus_touches_files(path):
         )
     ]
     assert not calls, f"{path.name}: file I/O outside corpus.py: {calls}"
+
+
+# where a reform may be named by a string: the table itself, and the kernel
+# dispatch, which calls one kernel signature per reform
+_REFORM_NAMING = {("builder.py", "REFORMS"), ("builder.py", "_build_example")}
+
+
+def _is_reform(node: ast.expr) -> bool:
+    """``reform``, ``x.reform`` or ``x["reform"]``."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.slice, ast.Constant) and node.slice.value == "reform"
+    return getattr(node, "id", None) == "reform" or getattr(node, "attr", None) == "reform"
+
+
+def _holds_string(node: ast.expr) -> bool:
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return any(isinstance(item, ast.Constant) and isinstance(item.value, str) for item in items)
+
+
+def _top_level_names(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_reforms_are_told_apart_by_the_table(path):
+    """What a reform takes and needs is read from ``builder.REFORMS``, not
+    from a comparison of its name with a string."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for stmt in tree.body
+        if not any((path.name, name) in _REFORM_NAMING for name in _top_level_names(stmt))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Compare)
+        and any(map(_is_reform, [node.left, *node.comparators]))
+        and any(map(_holds_string, [node.left, *node.comparators]))
+    ]
+    assert not found, f"{path.name}: a reform compared with a string: {found}"

@@ -365,6 +365,14 @@ def test_score_config_validation():
         ScoreConfig(beta=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_score_config_takes_only_finite_knobs(value):
+    for key in ("smoothing_k", "beta"):
+        with pytest.raises(ValidationError) as err:
+            ScoreConfig(metric="bleu", smoothing="add_k", **{key: value})
+        assert str(err.value) == f"{key} must be finite and > 0"
+
+
 def test_direction_score_validation():
     with pytest.raises(ValidationError):
         DirectionScore("eng", "eng", 50.0, 10)

@@ -225,6 +225,11 @@ def test_schedule_validation():
     with pytest.raises(ValidationError, match="kind must be a str, got 5"):
         decode_schedule({"kind": 5, "total_steps": 10})
     assert type(decode_schedule({"kind": "mix", "total_steps": 10, "frac": 1}).frac) is float
+    # a float field takes only a finite number, also an int too large for a float
+    for value in (float("nan"), float("inf"), 10**400):
+        with pytest.raises(ValidationError) as err:
+            mix(value, 10)
+        assert str(err.value) == f"frac must be finite, got {value!r}"
     assert mask_preset("mask4", 10).mean_span == 3
 
 
