@@ -25,6 +25,7 @@ from .corpus import (
     BilingualCorpus,
     MultiParallelCorpus,
     _substream,
+    check_seed,
     corpus_digest,
     example_from_record,
     partition,
@@ -48,6 +49,7 @@ from .schedule import (
     MASK_PRESETS,
     POLICY_KINDS,
     SchedulePolicy,
+    StepPolicy,
     cast_fields,
     decode,
     mask_preset,
@@ -103,6 +105,7 @@ class BuildConfig:
 
     def __post_init__(self) -> None:
         cast_fields(self)
+        check_seed(self.seed)
         if self.task not in ("bilingual", "multiparallel"):
             raise ValidationError(f"unknown task: {self.task!r}")
         if self.reform not in REFORMS:
@@ -230,8 +233,8 @@ def _truncate_parts(
         for idx in range(len(parts) - 1, -1, -1):
             part_seg = segment(parts[idx], seg)
             floor_keep = 1 if idx == 0 else 0
-            if len(part_seg.units) > floor_keep:
-                keep = max(floor_keep, len(part_seg.units) - over)
+            if len(part_seg) > floor_keep:
+                keep = max(floor_keep, len(part_seg) - over)
                 new_part = take_prefix(part_seg, keep)
                 parts = parts[:idx] + ((new_part,) if new_part else ()) + parts[idx + 1 :]
                 break
@@ -270,24 +273,23 @@ class _LazySubstream:
 def _build_example(
     corpus,
     cfg: BuildConfig,
-    schedule: SchedulePolicy | None,
+    step_policy: StepPolicy | None,
     split: str,
     index: int,
     assignment: tuple[int, str, str],
     mips_codes: Sequence[str],
 ) -> tuple[dict, int]:
-    """One example and the unit count of its input. A mips example draws
-    its two extra languages from ``mips_codes``, the corpus codes sorted
-    once per build."""
+    """One example and the unit count of its input. ``step_policy`` is the
+    schedule at the example's step, ``None`` outside train or without a
+    schedule. A mips example draws its two extra languages from
+    ``mips_codes``, the corpus codes sorted once per build."""
     rng = _LazySubstream(cfg.seed, f"example:{split}", index)
     item_id, src_code, tgt_code = assignment
     example = example_from_record(corpus, item_id, src_code, tgt_code)
 
     step = index // cfg.batch_size if split == "train" else None
-    step_policy = None
     reform_on = False
-    if split == "train" and schedule is not None:
-        step_policy = policy_at(step, schedule)
+    if step_policy is not None:
         fraction = step_policy.reform_fraction
         if 0.0 < fraction < 1.0:
             reform_on = rng().random() < fraction
@@ -384,9 +386,15 @@ def _shard_job(
 ) -> tuple[dict, _Tally]:
     tally = _Tally()
     lines = []
+    step_policy = None
+    scheduled = split == "train" and schedule is not None
     for offset, assignment in enumerate(assignments):
+        index = start + offset
+        if scheduled and (offset == 0 or index % cfg.batch_size == 0):
+            # the examples of a step share its policy: evaluate it once
+            step_policy = policy_at(index // cfg.batch_size, schedule)
         obj, input_units = _build_example(
-            corpus, cfg, schedule, split, start + offset, assignment, mips_codes
+            corpus, cfg, step_policy, split, index, assignment, mips_codes
         )
         tally.add(obj["tag"], input_units, count_units(obj["target"], cfg.seg))
         tally.truncated += obj["meta"]["truncated"]

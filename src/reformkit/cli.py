@@ -18,6 +18,7 @@ from pathlib import Path
 from .analysis import breakdown, pretrain_scatter, scatter_tsv
 from .builder import BuildConfig, batch_plan, build, sample_pairs, stats, stats_from_counts
 from .corpus import (
+    check_seed,
     load_bilingual,
     load_manifest,
     load_multiparallel,
@@ -316,6 +317,7 @@ def _smoke_builds(corpus, seed: int, out: Path) -> dict:
 
 def _cmd_smoke(args) -> int:
     seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    check_seed(seed)  # before anything is written
     out = Path(args.out)
     corpus = synth_multiparallel(8, 200, seed=seed)
     write_multiparallel(corpus, out / "corpus")

@@ -218,11 +218,15 @@ def read_lines(path: str | Path) -> Iterator[str]:
 
 def read_json(path: str | Path):
     """The JSON value in a UTF-8 file; invalid JSON fails with a
-    ValidationError naming the line."""
+    ValidationError naming the line, an integer too long to convert with one
+    naming the file."""
+    text = "\n".join(read_lines(path))
     try:
-        return json.loads("\n".join(read_lines(path)))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # past sys.get_int_max_str_digits
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -391,11 +395,16 @@ def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> N
         write_atomic(directory / f"{code}.txt", (line.encode("utf-8") for line in lines))
 
 
-def _substream(seed: int, role: str, index: int) -> random.Random:
-    """Independent RNG stream for one (role, index); order-free determinism.
-    Every seed reaches a generator here, so this is where its range is checked."""
+def check_seed(seed: int) -> None:
+    """A seed must fit the 8 bytes ``_substream`` hashes it into."""
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _substream(seed: int, role: str, index: int) -> random.Random:
+    """Independent RNG stream for one (role, index); order-free determinism.
+    Every seed reaches a generator here, so its range is checked here too."""
+    check_seed(seed)
     h = hashlib.blake2b(digest_size=16)
     h.update(seed.to_bytes(8, "big"))
     h.update(role.encode("utf-8"))

@@ -14,6 +14,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
+from .schedule import cast_fields
 
 SMOOTHING_NONE = "none"
 SMOOTHING_ADD_K = "add_k"
@@ -32,20 +33,22 @@ class ScoreConfig:
     beta: float = 2.0
 
     def __post_init__(self) -> None:
+        # ahead of the cast, which words a nan or infinite float its own way
+        for name in ("smoothing_k", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, (int, float)) and not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0")
+        cast_fields(self)
         if self.metric not in ("bleu", "chrfpp"):
             raise ValidationError(f"unknown metric: {self.metric!r}")
         if self.max_ngram < 1:
             raise ValidationError("max_ngram must be >= 1")
         if self.smoothing not in (SMOOTHING_NONE, SMOOTHING_ADD_K):
             raise ValidationError(f"unknown smoothing: {self.smoothing!r}")
-        if not 0 < self.smoothing_k < math.inf:
-            raise ValidationError("smoothing_k must be finite and > 0")
         if self.char_n < 1:
             raise ValidationError("char_n must be >= 1")
         if self.word_n < 0:
             raise ValidationError("word_n must be >= 0")
-        if not 0 < self.beta < math.inf:
-            raise ValidationError("beta must be finite and > 0")
 
 
 @dataclass(frozen=True)

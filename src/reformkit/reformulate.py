@@ -132,7 +132,7 @@ def _target_scaffold(
     if not 0.0 <= r <= 1.0:
         raise ValidationError(f"front share {r} outside [0, 1]")
     target_seg = segment(ex.target_text, seg)
-    n = len(target_seg.units)
+    n = len(target_seg)
     k = _round_half_up(u * n)
     kp = _round_half_up(r * k)
     ks = min(k - kp, n - kp)

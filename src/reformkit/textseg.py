@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .corpus import read_lines
@@ -48,22 +49,42 @@ _UNIT_PATTERNS = {
 
 @dataclass(frozen=True)
 class Segmentation:
-    """``units`` holds one ``(start, core_end, end)`` offset triple per unit:
+    """A view of ``source`` under ``seg``. ``units`` holds one
+    ``(start, core_end, end)`` offset triple per unit, built on first read:
     source[start:core_end] is the word core and source[core_end:end] its
-    trailing separators."""
+    trailing separators. ``len`` is the unit count, which needs no offsets."""
 
     source: str
-    units: tuple[tuple[int, int, int], ...]
+    seg: Segmenter
+
+    @cached_property
+    def units(self) -> tuple[tuple[int, int, int], ...]:
+        s, pattern = self.source, _UNIT_PATTERNS[self.seg.kind]
+        units = tuple((m.start(), m.end(1), m.end()) for m in pattern.finditer(s))
+        if s and not units:
+            # Separator-only string: a single unit with no core.
+            units = ((0, len(s), len(s)),)
+        return units
+
+    def __len__(self) -> int:
+        # cached by hand: a cached_property takes a lock on first read before Python 3.12
+        n = self.__dict__.get("_n_units")
+        if n is None:
+            n = self.__dict__["_n_units"] = count_units(self.source, self.seg)
+        return n
 
 
 def segment(s: str, seg: Segmenter | None = None) -> Segmentation:
-    """Split ``s`` into units whose spans exactly tile the string."""
-    seg = seg or Segmenter()
-    units = tuple((m.start(), m.end(1), m.end()) for m in _UNIT_PATTERNS[seg.kind].finditer(s))
-    if s and not units:
-        # Separator-only string: a single unit with no core.
-        units = ((0, len(s), len(s)),)
-    return Segmentation(s, units)
+    """The view of ``s`` as units whose spans exactly tile the string."""
+    return Segmentation(s, seg or Segmenter())
+
+
+def _spaced(s: str, kind: str) -> str:
+    """``s`` with the kind's separators made spaces, for ``str.split``; the
+    length is unchanged, so positions in it are positions in ``s``."""
+    if kind == KIND_UNICODE_WORDS:
+        return s.replace("\u0f0b", " ").replace("\u0f0c", " ")
+    return s
 
 
 def take_prefix(segmentation: Segmentation, k: int) -> str:
@@ -71,26 +92,34 @@ def take_prefix(segmentation: Segmentation, k: int) -> str:
 
     For k < unit count the trailing separators of the k-th unit are left
     out, so the result ends on a word core; for k == unit count the full
-    source string is returned.
+    source string is returned. ``rsplit`` drops the last n - k cores and
+    the separators before them.
     """
-    units = segmentation.units
-    if k < 0 or k > len(units):
-        raise UsageError(f"prefix length {k} out of range 0..{len(units)}")
+    n = len(segmentation)
+    if k < 0 or k > n:
+        raise UsageError(f"prefix length {k} out of range 0..{n}")
     if k == 0:
         return ""
-    if k == len(units):
-        return segmentation.source
-    return segmentation.source[: units[k - 1][1]]
+    source, kind = segmentation.source, segmentation.seg.kind
+    if k == n:
+        return source
+    if kind == KIND_CODEPOINTS:
+        return source[:k]
+    return source[: len(_spaced(source, kind).rsplit(None, n - k)[0])]
 
 
 def take_suffix(segmentation: Segmentation, k: int) -> str:
-    """Return the slice covering the last ``k`` units."""
-    units = segmentation.units
-    if k < 0 or k > len(units):
-        raise UsageError(f"suffix length {k} out of range 0..{len(units)}")
+    """Return the slice covering the last ``k`` units: from the core of the
+    first of them, which ``split`` leaves at the head of its remainder."""
+    n = len(segmentation)
+    if k < 0 or k > n:
+        raise UsageError(f"suffix length {k} out of range 0..{n}")
     if k == 0:
         return ""
-    return segmentation.source[units[len(units) - k][0] :]
+    source, kind = segmentation.source, segmentation.seg.kind
+    if k == n or kind == KIND_CODEPOINTS:
+        return source[n - k :]
+    return source[len(source) - len(_spaced(source, kind).split(None, n - k)[-1]) :]
 
 
 def count_units(s: str, seg: Segmenter | None = None) -> int:
@@ -101,9 +130,7 @@ def count_units(s: str, seg: Segmenter | None = None) -> int:
     kind = seg.kind if seg is not None else KIND_UNICODE_WORDS
     if kind == KIND_CODEPOINTS:
         return len(s)
-    if kind == KIND_UNICODE_WORDS:
-        s = s.replace("\u0f0b", " ").replace("\u0f0c", " ")
-    return len(s.split()) or (1 if s else 0)
+    return len(_spaced(s, kind).split()) or (1 if s else 0)
 
 
 def read_sidecar_counts(path: str | Path) -> list[int]:

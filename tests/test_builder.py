@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import reformkit.builder
 import reformkit.corpus
+import reformkit.textseg
 from reformkit.builder import (
     REFORM_KINDS,
     BuildConfig,
@@ -631,19 +632,18 @@ def test_config_takes_only_finite_numbers():
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-def test_a_seed_outside_64_bits_is_rejected(tmp_path, seed):
+def test_a_seed_outside_64_bits_is_rejected(seed):
     # seeds used to alias modulo 2**64: -1 built the shards of 2**64 - 1
+    # a config holding one is rejected before a build can start writing
     multi = synth_multiparallel(4, 30)
-    cfg = BuildConfig(task="multiparallel", reform="none", n_train=10, batch_size=5, seed=seed)
     for call in (
-        lambda: build(multi, cfg, tmp_path / "out"),
+        lambda: BuildConfig(task="multiparallel", reform="none", n_train=10, batch_size=5, seed=seed),
         lambda: sample_pairs(multi, 5, seed),
         lambda: split(multi, (10, 5, 5), seed),
     ):
         with pytest.raises(ValidationError) as err:
             call()
         assert str(err.value) == f"seed must be in [0, 2**64), got {seed}"
-    assert not list((tmp_path / "out").glob("*.jsonl"))
 
 
 def test_the_largest_seed_builds(tmp_path):
@@ -772,7 +772,7 @@ def _configs(draw):
         reform=reform,
         n_train=batch_size * draw(st.integers(1, 50)) + draw(st.integers(0, batch_size - 1)),
         batch_size=batch_size,
-        seed=draw(st.integers(-(2**40), 2**40)),
+        seed=draw(st.integers(0, 2**64 - 1)),
         schedule=draw(_schedules(draw(st.sampled_from(kinds + (None,))))),
         n_valid=draw(st.integers(0, 100)),
         max_len=draw(st.integers(1, 512)),
@@ -1131,3 +1131,52 @@ def test_each_example_is_built_once(tmp_path, monkeypatch):
         manifest = build(corpus, cfg, tmp_path / reform)
         assert manifest.splits["train"]["tags"][reform] > 0
         assert len(made) == 110
+
+
+class _CountedPattern:
+    """A unit pattern that counts its ``finditer`` scans, one per text whose
+    unit offsets are built."""
+
+    def __init__(self, pattern, scans: Counter) -> None:
+        self.pattern, self.scans = pattern, scans
+
+    def finditer(self, text):
+        self.scans[self.pattern.pattern] += 1
+        return self.pattern.finditer(text)
+
+
+@pytest.mark.parametrize("kind", SEGMENTER_KINDS)
+def test_only_masking_builds_unit_offsets(tmp_path, monkeypatch, kind):
+    # the scaffolds and truncation cut with str.split; only the mask
+    # kernels read the (start, core_end, end) offsets
+    scans = Counter()
+    for name, pattern in list(reformkit.textseg._UNIT_PATTERNS.items()):
+        monkeypatch.setitem(reformkit.textseg._UNIT_PATTERNS, name, _CountedPattern(pattern, scans))
+    corpus = synth_bilingual(60, seed=3)
+    common = dict(task="bilingual", n_train=120, batch_size=20, seed=4, max_len=8, seg=Segmenter(kind))
+    for reform in ("pose", "prefix_suffix", "mask4"):
+        scans.clear()
+        manifest = build(corpus, BuildConfig(reform=reform, **common), tmp_path / reform)
+        train = manifest.splits["train"]
+        if reform == "mask4":
+            assert train["tags"]["span_mask"] > 0
+            assert sum(scans.values()) > 0
+        else:
+            assert train["tags"][reform] > 0 and train["truncated"] > 0
+            assert sum(scans.values()) == 0, reform
+
+
+def test_the_schedule_is_evaluated_once_per_step_per_shard_job(tmp_path, monkeypatch):
+    steps = []
+    policy_at = reformkit.builder.policy_at
+    monkeypatch.setattr(
+        reformkit.builder, "policy_at", lambda step, policy: steps.append(step) or policy_at(step, policy)
+    )
+    corpus = synth_bilingual(600, seed=2)
+    # shards of 30 examples over steps of 20: steps 1 and 4 span two shard jobs
+    cfg = BuildConfig(
+        task="bilingual", reform="pose", n_train=100, batch_size=20, seed=5, shard_size=30,
+        n_valid=10, schedule=mix(0.5, 1),
+    )
+    build(corpus, cfg, tmp_path)
+    assert steps == [0, 1, 1, 2, 3, 4, 4]

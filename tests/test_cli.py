@@ -536,6 +536,23 @@ def test_seed_outside_64_bits_exits_1(tmp_path, multi_corpus, monkeypatch, seed)
         monkeypatch.setenv("REFORMKIT_SEED", seed)
         assert run_cli(argv) == (1, "", error)
         monkeypatch.delenv("REFORMKIT_SEED")
+        # the seed is checked before anything is written
+        assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
+
+
+def test_config_integer_too_long_to_convert_exits_1(tmp_path, multi_corpus):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus),
+         "--out", str(tmp_path / "b"), "--task", "multiparallel", "--reform", "none",
+         "--n-train", "20", "--batch-size", "10"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if hasattr(sys, "get_int_max_str_digits"):  # the conversion limit this hits
+        assert err.startswith(f"error: {config}: invalid JSON: ")
+    assert not (tmp_path / "b").exists()
 
 
 def test_stray_schedule_field_exits_1(tmp_path, multi_corpus):

@@ -365,6 +365,15 @@ def test_score_config_validation():
         ScoreConfig(beta=0.0)
 
 
+def test_score_config_casts_its_fields():
+    with pytest.raises(ValidationError) as err:
+        ScoreConfig(beta="2")
+    assert str(err.value) == "beta must be a float, got '2'"
+    cfg = ScoreConfig(beta=2)
+    assert cfg.beta == 2.0 and type(cfg.beta) is float
+    assert cfg == ScoreConfig(beta=2.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_score_config_takes_only_finite_knobs(value):
     for key in ("smoothing_k", "beta"):

@@ -228,3 +228,27 @@ def test_sidecar_counts_rejects_garbage(tmp_path):
     path.write_text("3\n-1\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 2"):
         read_sidecar_counts(path)
+
+
+# word characters and one of each separator class: ASCII space, tab and
+# newline, NBSP, U+3000, the U+001C file separator and both tsheg marks
+_cut_text = st.text(
+    alphabet=st.sampled_from("ab\u0f40 \t\n\u00a0\u3000\u001c\u0f0b\u0f0c"),
+    max_size=40,
+)
+
+
+@given(_cut_text, st.sampled_from(SEGMENTER_KINDS))
+def test_count_and_cuts_equal_slices_at_the_unit_offsets(s, kind):
+    seg = Segmenter(kind)
+    units = segment(s, seg).units
+    n = len(units)
+    # a fresh view for the count and the cuts, which read no offsets
+    view = segment(s, seg)
+    assert len(view) == n
+    for k in range(n + 1):
+        prefix = "" if k == 0 else s if k == n else s[: units[k - 1][1]]
+        suffix = "" if k == 0 else s[units[n - k][0] :]
+        assert take_prefix(view, k) == prefix, (kind, s, k)
+        assert take_suffix(view, k) == suffix, (kind, s, k)
+    assert "units" not in vars(view)
