@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import defaultdict
 from dataclasses import asdict, fields
@@ -98,6 +99,9 @@ def _env_seed() -> int | None:
     try:
         return int(raw)
     except ValueError as exc:
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", raw):  # an integer past int()'s digit limit
+            digits = sum(map(str.isdecimal, raw))
+            raise ValidationError(f"seed must be in [0, 2**64), got an integer of {digits} digits") from None
         raise ValidationError(f"REFORMKIT_SEED must be an integer, got {raw!r}") from exc
 
 

@@ -17,12 +17,13 @@ import hashlib
 import json
 import os
 import random
-import re
 import struct
 import unicodedata
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import sub
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -43,15 +44,6 @@ class Language:
             raise ValidationError(f"{self.code}: pretrain_size must be >= 0")
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
-    id: int
-    texts: dict[str, str]
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
 def _column(texts: Sequence[str]) -> tuple[str, array]:
     """One language column: the texts joined, and the code-point offset of
     each text's start plus the end of the last."""
@@ -68,55 +60,79 @@ class MultiParallelCorpus:
     reference count into each, and the corpus takes about the size of its
     text in memory. Record ``i`` is read as ``ids[i]`` and ``text(i, code)``.
 
-    ``MultiParallelCorpus(languages, records)`` packs ``SentenceRecord``s
-    into columns, keeping only the texts of the corpus languages; ``ids``
-    and ``columns`` instead give the columns directly.
+    ``texts`` gives one iterable of nonempty ``str`` per language, in
+    ``languages`` order; each is joined before the next is read, so a
+    generator keeps one language's texts alive at a time. ``ids`` are
+    distinct 64-bit integers, ``0 .. n-1`` by default. Other input raises a
+    ValidationError or AlignmentError naming the language and the record.
     """
 
     languages: tuple[Language, ...]
-    ids: array = field(repr=False)
-    columns: dict[str, tuple[str, array]] = field(repr=False)
+    ids: array = field(init=False, repr=False)
+    columns: dict[str, tuple[str, array]] = field(init=False, repr=False)
     # code -> Language, derived from ``languages``
     _by_code: dict[str, Language] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
         languages: Sequence[Language],
-        records: Iterable[SentenceRecord] = (),
-        *,
-        ids: array | None = None,
-        columns: dict[str, tuple[str, array]] | None = None,
+        texts: Iterable[Iterable[str]],
+        ids: Iterable[int] | None = None,
     ) -> None:
         languages = tuple(languages)
         codes = [lang.code for lang in languages]
         if len(set(codes)) != len(codes):
             raise ValidationError("duplicate language codes in corpus")
-        if columns is None:
-            ids = array("q")
-            texts: dict[str, list[str]] = {code: [] for code in codes}
-            for rec in records:
-                ids.append(rec.id)
-                for code in codes:
-                    text = rec.texts.get(code)
-                    if not text:
-                        raise AlignmentError(f"record {rec.id}: missing text for language {code}")
-                    if _SURROGATE.search(text):  # a str, but not writable as UTF-8
-                        raise ValidationError(f"record {rec.id}: {code} text is not valid UTF-8")
-                    texts[code].append(text)
-            columns = {code: _column(texts[code]) for code in codes}
-        elif ids is None or set(columns) != set(codes):
-            raise ValidationError("columns need ids and one column per corpus language")
+        n, n_from, record = None, "", lambda i: i
+        if ids is not None:
+            try:
+                ids = array("q", iter(ids))  # from bytes, array() would read raw words
+            except (TypeError, OverflowError) as exc:
+                raise ValidationError(f"record ids must be integers in [-2**63, 2**63): {exc}") from None
+            if len(set(ids)) < len(ids):
+                repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
+                raise ValidationError(f"record id {repeated} is repeated")
+            n, n_from, record = len(ids), "ids", ids.__getitem__
+        columns: dict[str, tuple[str, array]] = {}
+        for code, given in zip_longest(codes, texts):
+            if code is None or given is None or isinstance(given, str):
+                raise ValidationError(f"texts must give one iterable of str per language, {len(codes)} in all")
+            # a list or tuple is read as it is: a copy would add to the load peak
+            given = given if isinstance(given, (list, tuple)) else list(given)
+            if n is None:
+                n, n_from = len(given), code
+            elif len(given) != n:
+                raise AlignmentError(
+                    f"language {code} has {len(given)} sentences, expected {n} (from {n_from})"
+                )
+            try:
+                column, offsets = _column(given)
+            except TypeError:
+                bad = next(i for i, text in enumerate(given) if not isinstance(text, str))
+                raise ValidationError(
+                    f"record {record(bad)}: {code} text must be a str, got {type(given[bad]).__name__}"
+                ) from None
+            if not all(given):
+                raise AlignmentError(f"record {record(given.index(''))}: missing text for language {code}")
+            # UTF-16 is the cheapest codec that rejects a lone surrogate (no UTF-8 form)
+            for start in range(0, 0 if column.isascii() else len(column), 1 << 16):
+                try:
+                    column[start : start + (1 << 16)].encode("utf-16-le")
+                except UnicodeEncodeError as exc:
+                    bad = bisect_right(offsets, start + exc.start) - 1
+                    raise ValidationError(f"record {record(bad)}: {code} text is not valid UTF-8") from None
+            columns[code] = column, offsets
         object.__setattr__(self, "languages", languages)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", array("q", range(n or 0)) if ids is None else ids)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_by_code", {lang.code: lang for lang in languages})
 
     @classmethod
-    def _from_columns(cls, languages: Sequence[Language], n: int, columns: dict):
-        """A corpus of this class over ``columns`` of ``n`` texts each, with
-        ids ``0 .. n-1``, made without running a subclass's ``__init__``."""
+    def _of(cls, languages: Sequence[Language], texts: Iterable[Iterable[str]]):
+        """A corpus of this class, ids ``0 .. n-1``, built by the checked
+        ``MultiParallelCorpus.__init__`` whatever a subclass's takes."""
         corpus = object.__new__(cls)
-        MultiParallelCorpus.__init__(corpus, languages, ids=array("q", range(n)), columns=columns)
+        MultiParallelCorpus.__init__(corpus, languages, texts)
         return corpus
 
     def __len__(self) -> int:
@@ -144,15 +160,17 @@ class MultiParallelCorpus:
 
 class BilingualCorpus(MultiParallelCorpus):
     """A two-language corpus, ``languages == (source_lang, target_lang)``,
-    that builds in one direction: source to target. Each text of ``pairs``
-    must be nonempty, as in any record."""
+    that builds in one direction: source to target. ``pairs`` is transposed
+    into the two columns, whose texts are checked as in any corpus."""
 
     def __init__(
         self, source_lang: Language, target_lang: Language, pairs: Iterable[tuple[str, str]]
     ) -> None:
-        codes = (source_lang.code, target_lang.code)
-        records = (SentenceRecord(i, dict(zip(codes, pair))) for i, pair in enumerate(pairs))
-        super().__init__((source_lang, target_lang), records)
+        try:
+            columns = tuple(zip(*pairs, strict=True)) or ((), ())
+        except (TypeError, ValueError):
+            raise ValidationError("pairs must be (source, target) texts") from None
+        super().__init__((source_lang, target_lang), columns)
 
     @property
     def source_lang(self) -> Language:
@@ -296,18 +314,19 @@ def load_bilingual(
     if bad:
         raise ValidationError(f"{path}: {len(bad)} malformed row(s): " + "; ".join(bad))
     languages = (source_lang or Language("src"), target_lang or Language("tgt"))
-    columns = {lang.code: _column(texts) for lang, texts in zip(languages, (sources, targets))}
-    return BilingualCorpus._from_columns(languages, len(sources), columns)
+    return BilingualCorpus._of(languages, (sources, targets))
 
 
 def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None:
     if fmt not in ("tsv", "jsonl"):
         raise UsageError(f"unknown bilingual format: {fmt!r}")
+    source, target = corpus.codes
+    pairs = ((corpus.text(i, source), corpus.text(i, target)) for i in range(len(corpus)))
     lines = (
         f"{src}\t{tgt}\n"
         if fmt == "tsv"
         else json.dumps({"source": src, "target": tgt}, ensure_ascii=False) + "\n"
-        for src, tgt in corpus.pairs
+        for src, tgt in pairs
     )
     write_atomic(path, (line.encode("utf-8") for line in lines))
 
@@ -347,39 +366,23 @@ def load_multiparallel(path: str | Path) -> MultiParallelCorpus:
     ``path`` is either the corpus directory or its manifest file.
     """
     path = Path(path)
-    if path.is_file():
-        directory = path.parent
-        manifest_path = path
-    else:
-        directory = path
-        manifest_path = path / "manifest.json"
+    manifest_path = path if path.is_file() else path / "manifest.json"
     if not manifest_path.exists():
         raise ValidationError(f"no manifest found at {manifest_path}")
-    langs = tuple(load_manifest(manifest_path))
+    langs = load_manifest(manifest_path)
 
-    columns: dict[str, tuple[str, array]] = {}
-    expected: int | None = None
-    expected_from = ""
-    for lang in langs:
-        lang_file = directory / f"{lang.code}.txt"
-        if not lang_file.exists():
-            raise ValidationError(f"missing language file: {lang_file}")
-        texts = [_clean(raw) for raw in read_lines(lang_file)]
-        if not all(texts):
-            raise ValidationError(f"{lang_file}: line {texts.index('') + 1}: empty sentence")
-        if expected is None:
-            expected = len(texts)
-            expected_from = lang.code
-        elif len(texts) != expected:
-            raise AlignmentError(
-                f"language {lang.code} has {len(texts)} sentences, "
-                f"expected {expected} (from {expected_from})"
-            )
-        # joined while read, so only one language's texts are objects at once
-        columns[lang.code] = _column(texts)
+    def per_language():
+        # one file at a time: the corpus joins each before the next is read
+        for lang in langs:
+            lang_file = manifest_path.parent / f"{lang.code}.txt"
+            if not lang_file.exists():
+                raise ValidationError(f"missing language file: {lang_file}")
+            texts = [_clean(raw) for raw in read_lines(lang_file)]
+            if not all(texts):
+                raise ValidationError(f"{lang_file}: line {texts.index('') + 1}: empty sentence")
+            yield texts
 
-    assert expected is not None
-    return MultiParallelCorpus._from_columns(langs, expected, columns)
+    return MultiParallelCorpus(langs, per_language())
 
 
 def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> None:
@@ -434,11 +437,7 @@ def split(corpus: MultiParallelCorpus, sizes: tuple[int, int, int], seed: int):
     if sum(sizes) > total:
         raise ValidationError(f"split sizes {sizes} exceed corpus size {total}")
     return tuple(
-        corpus._from_columns(
-            corpus.languages,
-            len(idx),
-            {code: _column([corpus.text(i, code) for i in idx]) for code in corpus.codes},
-        )
+        corpus._of(corpus.languages, ([corpus.text(i, code) for i in idx] for code in corpus.codes))
         for idx in partition(total, sizes, seed)
     )
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .corpus import Language, MultiParallelCorpus, BilingualCorpus, SentenceRecord
+from .corpus import Language, MultiParallelCorpus, BilingualCorpus
 from .errors import ValidationError
 
 _SCRIPTS = ("Latn", "Cyrl", "Deva", "Arab", "Tibt", "Hans")
@@ -34,18 +34,16 @@ def synth_multiparallel(n_langs: int, n_records: int, seed: int = 0) -> MultiPar
         raise ValidationError("need at least 1 record")
     langs = synth_languages(n_langs)
     rng = random.Random(seed)
-    records = []
+    texts: list[list[str]] = [[] for _ in langs]
     for i in range(n_records):
         base_len = rng.randint(4, 12)
-        texts = {}
-        for lang in langs:
+        for lang, column in zip(langs, texts):
             tag = lang.code.split("_")[0]
             # lengths vary a little across languages of the same record
             length = max(1, base_len + (hash_offset(lang.code, i) % 3) - 1)
             words = " ".join(f"{tag}r{i}w{j}" for j in range(length))
-            texts[lang.code] = f"{tag} {words}"
-        records.append(SentenceRecord(id=i, texts=texts))
-    return MultiParallelCorpus(languages=tuple(langs), records=tuple(records))
+            column.append(f"{tag} {words}")
+    return MultiParallelCorpus(langs, texts)
 
 
 def hash_offset(code: str, i: int) -> int:

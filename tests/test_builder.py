@@ -28,7 +28,6 @@ from reformkit.corpus import (
     BilingualCorpus,
     Language,
     MultiParallelCorpus,
-    SentenceRecord,
     TranslationExample,
     corpus_digest,
     load_multiparallel,
@@ -84,8 +83,7 @@ def test_sample_pairs_deterministic():
 
 def test_sample_pairs_204_language_direction_space():
     langs = tuple(Language(f"x{i:03d}", pretrain_size=1) for i in range(204))
-    record = SentenceRecord(0, {lang.code: f"t {lang.code}" for lang in langs})
-    corpus = MultiParallelCorpus(langs, (record,))
+    corpus = MultiParallelCorpus(langs, [[f"t {lang.code}"] for lang in langs])
     # the full ordered-direction space for one record
     draws = sample_pairs(corpus, 204 * 203, seed=0)
     assert len(draws) == 41412
@@ -94,7 +92,7 @@ def test_sample_pairs_204_language_direction_space():
 
 def test_sample_pairs_single_language_rejected():
     langs = (Language("only"),)
-    corpus = MultiParallelCorpus(langs, (SentenceRecord(0, {"only": "x"}),))
+    corpus = MultiParallelCorpus(langs, (["x"],))
     with pytest.raises(ValidationError):
         sample_pairs(corpus, 1, seed=0)
 
@@ -272,8 +270,10 @@ def test_corpus_is_hashed_once_per_object(tmp_path, monkeypatch):
     assert {m.corpus_digest for m in manifests} == {digest}
     # the stored digest is no dataclass field: it leaves == and repr alone
     assert corpus == fresh and repr(corpus) == repr(fresh)
-    # a corpus loaded again or copied by replace is a new object, hashed anew
-    copied = replace(corpus)
+    # a corpus loaded again or rebuilt from its texts is a new object, hashed anew
+    copied = MultiParallelCorpus(
+        corpus.languages, ([corpus.text(i, code) for i in range(len(corpus))] for code in corpus.codes)
+    )
     assert corpus_digest(fresh) == corpus_digest(copied) == digest
     assert len(hashed) == 3 and hashed[1] is fresh and hashed[2] is copied
 
@@ -1043,11 +1043,8 @@ def test_mips_digest_is_pinned_with_unsorted_language_order(tmp_path):
     # mips draws its extra languages from the sorted codes, whatever order
     # the corpus lists its languages in
     multi = synth_multiparallel(6, 40, seed=3)
-    records = [
-        SentenceRecord(multi.ids[i], {code: multi.text(i, code) for code in multi.codes})
-        for i in range(len(multi))
-    ]
-    reordered = MultiParallelCorpus(tuple(reversed(multi.languages)), records)
+    texts = [[multi.text(i, code) for i in range(len(multi))] for code in reversed(multi.codes)]
+    reordered = MultiParallelCorpus(tuple(reversed(multi.languages)), texts, multi.ids)
     cfg = BuildConfig(task="multiparallel", reform="mips", n_train=120, batch_size=20, seed=4)
     (shard,) = build(reordered, cfg, tmp_path).splits["train"]["shards"]
     assert shard["sha256"] == "f7c5410adfdfcf5f2242d3806a1f309c79f9d3388695d849486735087f732407"
@@ -1097,8 +1094,7 @@ def test_parse_and_mips_builds_match_across_worker_counts(tmp_path, workers):
 def test_hand_built_record_ids_reach_the_shards(tmp_path):
     ids = [1000 + 7 * i for i in range(30)][::-1]
     langs = synth_multiparallel(5, 1).languages
-    records = [SentenceRecord(i, {lang.code: f"{lang.code} s{i} w" for lang in langs}) for i in ids]
-    corpus = MultiParallelCorpus(langs, records)
+    corpus = MultiParallelCorpus(langs, [[f"{lang.code} s{i} w" for i in ids] for lang in langs], ids)
     assert list(corpus.ids) == ids
     for reform in ("none", "parse", "mips"):
         cfg = BuildConfig(

@@ -540,6 +540,23 @@ def test_seed_outside_64_bits_exits_1(tmp_path, multi_corpus, monkeypatch, seed)
         assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize(
+    "seed", ["9" * 5000, " -" + "9" * 5000 + " ", "1_" + "0" * 5000], ids=["nines", "negative", "underscore"]
+)
+def test_env_seed_too_long_to_convert_exits_1(tmp_path, multi_corpus, monkeypatch, seed):
+    # past int()'s digit limit an integer is still out of range, not "not an integer"
+    error = f"error: seed must be in [0, 2**64), got an integer of {sum(map(str.isdecimal, seed))} digits\n"
+    monkeypatch.setenv("REFORMKIT_SEED", seed)
+    for argv in (
+        ["build", "--corpus", str(multi_corpus), "--out", str(tmp_path / "b"), "--task",
+         "multiparallel", "--reform", "none", "--n-train", "20", "--batch-size", "10"],
+        ["sample", "--corpus", str(multi_corpus), "--n", "3"],
+        ["smoke", "--out", str(tmp_path / "s")],
+    ):
+        assert run_cli(argv) == (1, "", error)
+    assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
+
+
 def test_config_integer_too_long_to_convert_exits_1(tmp_path, multi_corpus):
     config = tmp_path / "config.json"
     config.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")

@@ -7,16 +7,18 @@ import json
 import pickle
 import random
 import sys
+import tempfile
 import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reformkit.builder import BuildConfig, build
 from reformkit.corpus import (
     BilingualCorpus,
     Language,
     MultiParallelCorpus,
-    SentenceRecord,
     TranslationExample,
     corpus_digest,
     example_from_record,
@@ -29,16 +31,13 @@ from reformkit.corpus import (
     write_bilingual,
     write_multiparallel,
 )
-from reformkit.errors import AlignmentError, UsageError, ValidationError
+from reformkit.errors import AlignmentError, ReformkitError, UsageError, ValidationError
 from reformkit.synth import synth_bilingual, synth_multiparallel
 
 
-def _records(corpus):
-    """The corpus as ``SentenceRecord``s, read through ``ids`` and ``text``."""
-    return [
-        SentenceRecord(corpus.ids[i], {code: corpus.text(i, code) for code in corpus.codes})
-        for i in range(len(corpus))
-    ]
+def _texts(corpus):
+    """The corpus texts as one list per language, read through ``text``."""
+    return [[corpus.text(i, code) for i in range(len(corpus))] for code in corpus.codes]
 
 
 def _write_tsv(path, rows):
@@ -145,7 +144,7 @@ def test_bilingual_lines_split_at_lf_only(tmp_path):
 
 def test_task_and_corpus_kind_must_match(tmp_path):
     bilingual = synth_bilingual(20, seed=1)
-    multi = MultiParallelCorpus(bilingual.languages, _records(bilingual))
+    multi = MultiParallelCorpus(bilingual.languages, _texts(bilingual))
     assert isinstance(bilingual, MultiParallelCorpus)
     for task, corpus, message in (
         ("multiparallel", bilingual, "multiparallel task needs a MultiParallelCorpus"),
@@ -196,10 +195,7 @@ def test_multiparallel_lines_split_at_lf_only(tmp_path):
     (tmp_path / "bbb.txt").write_bytes(b"x\r\ny")  # CRLF, and no final LF
     (tmp_path / "ccc.txt").write_text("p\nq\n", encoding="utf-8")
     corpus = load_multiparallel(tmp_path)
-    assert [r.texts for r in _records(corpus)] == [
-        {"aaa": "one\rtwo\u2028three\x85four", "bbb": "x", "ccc": "p"},
-        {"aaa": "five\x0csix", "bbb": "y", "ccc": "q"},
-    ]
+    assert _texts(corpus) == [["one\rtwo\u2028three\x85four", "five\x0csix"], ["x", "y"], ["p", "q"]]
     # empty files make an empty corpus; a lone LF is one empty sentence
     for code in ("aaa", "bbb", "ccc"):
         (tmp_path / f"{code}.txt").write_text("", encoding="utf-8")
@@ -269,7 +265,7 @@ def test_multiparallel_non_utf8_names_file_and_line(tmp_path):
 
 def test_language_lookup_is_not_part_of_equality_or_repr(tmp_path):
     corpus = load_multiparallel(_toy_multi(tmp_path))
-    same = MultiParallelCorpus(corpus.languages, _records(corpus))
+    same = MultiParallelCorpus(corpus.languages, _texts(corpus))
     assert same == corpus and repr(same) == repr(corpus)
     assert "_by_code" not in repr(corpus)
     with pytest.raises(ValidationError, match="unknown language: zzz"):
@@ -284,7 +280,7 @@ def test_multiparallel_round_trip(tmp_path):
     write_multiparallel(corpus, out)
     again = load_multiparallel(out)
     assert again.codes == corpus.codes
-    assert _records(again) == _records(corpus)
+    assert _texts(again) == _texts(corpus) and again.ids == corpus.ids
     assert corpus_digest(again) == corpus_digest(corpus)
 
 
@@ -371,20 +367,18 @@ def test_example_from_record_ids():
     bilingual = BilingualCorpus(eng, deu, [("hello", "hallo"), ("cat", "Katze")])
     ex = example_from_record(bilingual, 1, "eng", "deu")
     assert (ex.source_text, ex.target_text, ex.sentence_id) == ("cat", "Katze", None)
-    records = (SentenceRecord(40, {"eng": "a", "deu": "b"}), SentenceRecord(12, {"eng": "c", "deu": "d"}))
-    ex = example_from_record(MultiParallelCorpus((eng, deu), records), 1, "deu", "eng")
+    corpus = MultiParallelCorpus((eng, deu), (["a", "c"], ["b", "d"]), ids=[40, 12])
+    ex = example_from_record(corpus, 1, "deu", "eng")
     assert (ex.source_text, ex.target_text, ex.sentence_id) == ("d", "c", 12)
 
 
 def test_record_missing_language_rejected():
     langs = (Language("aaa"), Language("bbb"))
     with pytest.raises(AlignmentError, match="bbb"):
-        MultiParallelCorpus(langs, (SentenceRecord(0, {"aaa": "x"}),))
-    # a text in a language the corpus does not list is dropped; ids keep
-    # the records' order
+        MultiParallelCorpus(langs, (["x"], []))
+    # ids keep the order they are given in
     ids = (10, 3, 77)
-    records = [SentenceRecord(i, {"aaa": f"a{i}", "bbb": f"b{i}", "zzz": "extra"}) for i in ids]
-    corpus = MultiParallelCorpus(langs, records)
+    corpus = MultiParallelCorpus(langs, ([f"a{i}" for i in ids], [f"b{i}" for i in ids]), ids)
     assert len(corpus) == 3 and list(corpus.ids) == list(ids)
     assert corpus.text(2, "bbb") == "b77"
     with pytest.raises(ValidationError, match="unknown language: zzz"):
@@ -393,24 +387,16 @@ def test_record_missing_language_rejected():
 
 def _with_texts(corpus, edits):
     """A copy of a multi-parallel corpus with {(record index, code): text} applied."""
-    records = []
-    for i, rec in enumerate(_records(corpus)):
-        texts = dict(rec.texts)
-        for (j, code), text in edits.items():
-            if j == i:
-                texts[code] = text
-        records.append(SentenceRecord(rec.id, texts))
-    return MultiParallelCorpus(corpus.languages, tuple(records))
+    texts = _texts(corpus)
+    for (i, code), text in edits.items():
+        texts[corpus.codes.index(code)][i] = text
+    return MultiParallelCorpus(corpus.languages, texts, corpus.ids)
 
 
 def _small_multi():
     langs = (Language("aaa_Latn"), Language("bbb_Tibt", True, 50), Language("ccc_Hans"))
-    texts = [
-        {"aaa_Latn": "ab c", "bbb_Tibt": "ཁ་བ་", "ccc_Hans": "雪山"},
-        {"aaa_Latn": "de", "bbb_Tibt": "མེ་", "ccc_Hans": "火"},
-        {"aaa_Latn": "fgh", "bbb_Tibt": "ཆུ་", "ccc_Hans": "水"},
-    ]
-    return MultiParallelCorpus(langs, tuple(SentenceRecord(i, t) for i, t in enumerate(texts)))
+    texts = (["ab c", "de", "fgh"], ["ཁ་བ་", "མེ་", "ཆུ་"], ["雪山", "火", "水"])
+    return MultiParallelCorpus(langs, texts)
 
 
 def test_digest_sees_a_character_moved_across_a_text_boundary():
@@ -433,15 +419,8 @@ def test_digest_sees_a_character_moved_across_a_text_boundary():
 
 def test_digest_sees_two_languages_swapping_texts():
     corpus = _small_multi()
-    swapped = MultiParallelCorpus(
-        corpus.languages,
-        tuple(
-            SentenceRecord(
-                rec.id, {**rec.texts, "aaa_Latn": rec.texts["ccc_Hans"], "ccc_Hans": rec.texts["aaa_Latn"]}
-            )
-            for rec in _records(corpus)
-        ),
-    )
+    aaa, bbb, ccc = _texts(corpus)
+    swapped = MultiParallelCorpus(corpus.languages, (ccc, bbb, aaa))
     assert corpus_digest(swapped) != corpus_digest(corpus)
     # one record only
     one = _with_texts(
@@ -456,8 +435,9 @@ def test_digest_sees_two_languages_swapping_texts():
 def test_digest_sees_any_one_text_changing():
     corpus = _small_multi()
     digests = {corpus_digest(corpus)}
-    for i, rec in enumerate(_records(corpus)):
-        for code, text in rec.texts.items():
+    for i in range(len(corpus)):
+        for code in corpus.codes:
+            text = corpus.text(i, code)
             for changed in (text + "x", text[:-1] or "y", "Z" + text[1:]):
                 digests.add(corpus_digest(_with_texts(corpus, {(i, code): changed})))
     assert len(digests) == 1 + 3 * 3 * 3
@@ -483,7 +463,7 @@ def test_digest_is_pinned():
         + b"tgt\x00" + words(2, 2, 2) + b"cdgh"
     )
     assert corpus_digest(bi) == hashlib.sha256(layout).hexdigest()
-    empty = MultiParallelCorpus((Language("bbb"), Language("aaa", True, 7)), ())
+    empty = MultiParallelCorpus((Language("bbb"), Language("aaa", True, 7)), ((), ()))
     layout = b"multiparallel\x00bbb|0|0\x00aaa|1|7\x00" + b"aaa\x00" + words(0) + b"bbb\x00" + words(0)
     assert corpus_digest(empty) == hashlib.sha256(layout).hexdigest()
     # recorded when the digest became one block per language column
@@ -498,16 +478,14 @@ def test_digest_is_pinned():
 
 def test_loaded_hand_built_and_split_corpora_are_equal_values(tmp_path):
     loaded = load_multiparallel(_toy_multi(tmp_path, n=40))
-    records = [
-        SentenceRecord(i, {code: f"{code} sentence {i}" for code in loaded.codes}) for i in range(40)
-    ]
-    built = MultiParallelCorpus(loaded.languages, records)
+    texts = [[f"{code} sentence {i}" for i in range(40)] for code in loaded.codes]
+    built = MultiParallelCorpus(loaded.languages, texts)
     assert built == loaded and repr(built) == repr(loaded)
     parts = split(loaded, (30, 6, 4), seed=5)
     assert split(built, (30, 6, 4), seed=5) == parts
-    # a part is the same value as its records packed by hand
+    # a part is the same value as its texts packed by hand
     for part in parts:
-        by_hand = MultiParallelCorpus(loaded.languages, _records(part))
+        by_hand = MultiParallelCorpus(loaded.languages, _texts(part))
         assert by_hand == part
         assert corpus_digest(by_hand) == corpus_digest(part)
     for corpus in (loaded, built, *parts):
@@ -517,16 +495,14 @@ def test_loaded_hand_built_and_split_corpora_are_equal_values(tmp_path):
     assert corpus_digest(built) == corpus_digest(loaded)
     assert parts[0] != loaded and corpus_digest(parts[0]) != corpus_digest(loaded)
     # the same texts in another language order are another corpus value
-    assert MultiParallelCorpus(tuple(reversed(loaded.languages)), records) != loaded
+    assert MultiParallelCorpus(tuple(reversed(loaded.languages)), texts[::-1]) != loaded
 
 
 def test_missing_or_empty_text_keeps_its_error(tmp_path):
     langs = (Language("aaa"), Language("bbb"))
-    for texts in ({"aaa": "x"}, {"aaa": "x", "bbb": ""}):
-        records = (SentenceRecord(0, {"aaa": "y", "bbb": "z"}), SentenceRecord(4, texts))
-        with pytest.raises(AlignmentError) as err:
-            MultiParallelCorpus(langs, records)
-        assert str(err.value) == "record 4: missing text for language bbb"
+    with pytest.raises(AlignmentError) as err:
+        MultiParallelCorpus(langs, (["y", "x"], ["z", ""]), ids=[0, 4])
+    assert str(err.value) == "record 4: missing text for language bbb"
     _toy_multi(tmp_path)
     target = tmp_path / "ccc_Latn.txt"
     lines = target.read_text(encoding="utf-8").splitlines()
@@ -542,15 +518,82 @@ def test_hand_built_lone_surrogate_is_rejected():
         BilingualCorpus(Language("a"), Language("b"), [("x", "y"), ("p\ud800", "q")])
     assert str(err.value) == "record 1: a text is not valid UTF-8"
     langs = (Language("aaa"), Language("bbb"))
-    records = [
-        SentenceRecord(7, {"aaa": "x", "bbb": "y"}),
-        SentenceRecord(3, {"aaa": "z", "bbb": "w\udfff"}),
-    ]
     with pytest.raises(ValidationError, match="^record 3: bbb text is not valid UTF-8$"):
-        MultiParallelCorpus(langs, records)
+        MultiParallelCorpus(langs, (["x", "z"], ["y", "w\udfff"]), ids=[7, 3])
+    # the scan reads the column in blocks; a surrogate past the first still
+    # names its own record
+    texts = ["é" * 1000] * 70 + ["x\ud800"]
+    with pytest.raises(ValidationError, match="^record 70: bbb text is not valid UTF-8$"):
+        MultiParallelCorpus(langs, (["a"] * 71, texts))
     # a character outside the BMP is one code point, not a surrogate pair
     astral = BilingualCorpus(Language("a"), Language("b"), [("x\U0001F600", "y")])
     assert astral.pairs == (("x\U0001F600", "y"),)
+
+
+@pytest.mark.parametrize(
+    "texts, ids, error, message",
+    [
+        ((["x", "y"], ["z", 5]), [7, 3], ValidationError, "record 3: bbb text must be a str, got int"),
+        ((["x", "y"], ["z", ""]), [7, 3], AlignmentError, "record 3: missing text for language bbb"),
+        ((["x", "y"], ["z"]), None, AlignmentError, "language bbb has 1 sentences, expected 2 (from aaa)"),
+        ((["x", "y"], ["z", "w"]), [7], AlignmentError, "language aaa has 2 sentences, expected 1 (from ids)"),
+        ((["x", "y"], ["z", "w"]), [7, 7], ValidationError, "record id 7 is repeated"),
+        ((["x", "y"],), None, ValidationError, "texts must give one iterable of str per language, 2 in all"),
+        ((["x"], ["z"], ["w"]), None, ValidationError, "texts must give one iterable of str per language, 2 in all"),
+        (("xy", "zw"), None, ValidationError, "texts must give one iterable of str per language, 2 in all"),
+    ],
+    ids=["not-str", "empty", "short-column", "ids-length", "repeated-id", "one-column", "three-columns", "str-column"],
+)
+def test_constructor_rejects_bad_texts_and_ids(texts, ids, error, message):
+    with pytest.raises(error) as err:
+        MultiParallelCorpus((Language("aaa"), Language("bbb")), texts, ids)
+    assert str(err.value) == message
+
+
+def test_given_record_ids_fit_64_bits_and_are_copied():
+    langs = (Language("aaa"),)
+    ids = array("q", [-(2**63), 2**63 - 1])
+    corpus = MultiParallelCorpus(langs, (["x", "y"],), ids)
+    ids[0] = 0
+    assert list(corpus.ids) == [-(2**63), 2**63 - 1]
+    # bytes are an iterable of small ints, not 8-byte words
+    assert list(MultiParallelCorpus(langs, (["x", "y"],), b"\x07\x03").ids) == [7, 3]
+    for ids in ([2**63, 0], [1.5, 0], ["a", "b"]):
+        with pytest.raises(ValidationError, match=r"^record ids must be integers in \[-2\*\*63, 2\*\*63\)"):
+            MultiParallelCorpus(langs, (["x", "y"],), ids)
+
+
+def test_pairs_of_another_length_are_rejected():
+    src, tgt = Language("a"), Language("b")
+    assert len(BilingualCorpus(src, tgt, [])) == 0
+    for pairs in ([("x", "y"), ("z",)], [("x", "y", "z")], [None]):
+        with pytest.raises(ValidationError):
+            BilingualCorpus(src, tgt, pairs)
+
+
+_CORPUS_TEXT = st.one_of(
+    # survives a write and a load: no LF, no edge space, already NFC
+    st.lists(st.sampled_from(["a", "é", "ཀ", "雪", "\U0001F600", "b\tc"]), min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["", "\ud800", "x\udfff y", 0, None, b"x"]),
+)
+
+
+@given(
+    columns=st.lists(st.lists(_CORPUS_TEXT, max_size=4), min_size=1, max_size=3),
+    ids=st.none() | st.lists(st.integers(-2, 2), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_constructor_builds_what_it_is_given_or_raises_a_typed_error(columns, ids):
+    langs = [Language(code) for code in ("aaa", "bbb", "ccc")[: len(columns)]]
+    try:
+        corpus = MultiParallelCorpus(langs, columns, ids)
+    except ReformkitError:
+        return
+    assert _texts(corpus) == columns
+    assert list(corpus.ids) == (list(range(len(corpus))) if ids is None else ids)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_multiparallel(corpus, tmp)
+        assert corpus_digest(load_multiparallel(tmp)) == corpus_digest(corpus)
 
 
 def test_failed_write_leaves_the_target_and_no_temp_file(tmp_path):

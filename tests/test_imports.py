@@ -1,6 +1,7 @@
 """Static checks over the reformkit modules: every name a module imports
-is used there or re-exported, only ``corpus.py`` opens files, and only the
-reform table and the kernel dispatch name a reform by a string."""
+is used there or re-exported, only ``corpus.py`` opens files, only the
+reform table and the kernel dispatch name a reform by a string, and only the
+corpus constructor joins texts into a column."""
 
 from __future__ import annotations
 
@@ -119,3 +120,29 @@ def test_reforms_are_told_apart_by_the_table(path):
         and any(map(_holds_string, [node.left, *node.comparators]))
     ]
     assert not found, f"{path.name}: a reform compared with a string: {found}"
+
+
+def _scoped_names(node: ast.AST, scope: tuple[str, ...] = ()):
+    """Each name read under ``node`` (``x`` or ``obj.x``), with the classes
+    and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            yield scope, child.id, child.lineno
+        elif isinstance(child, ast.Attribute):
+            yield scope, child.attr, child.lineno
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scoped_names(child, (*scope, child.name) if named else scope)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_columns_are_built_only_by_the_checked_constructor(path):
+    """``corpus._column`` joins texts unchecked, so only
+    ``MultiParallelCorpus.__init__``, which checks every text, calls it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"line {line}: in {'.'.join(scope) or 'the module'}"
+        for scope, name, line in _scoped_names(tree)
+        if name == "_column"
+        and (path.name, scope) != ("corpus.py", ("MultiParallelCorpus", "__init__"))
+    ]
+    assert not found, f"{path.name}: a column built past the corpus checks: {found}"

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from reformkit.corpus import Language, SentenceRecord, TranslationExample
+from reformkit.corpus import Language, TranslationExample
 from reformkit.errors import ValidationError
 from reformkit.reformulate import (
     ScaffoldFormat,
@@ -157,27 +157,25 @@ def test_prefix_suffix_parts_never_overlap(u, r, n_words):
         assert part in target
 
 
-_RECORD = SentenceRecord(
-    id=7,
-    texts={
-        "deu_Latn": "Hallo Welt",
-        "fra_Latn": "Bonjour le monde",
-        "eng_Latn": "Hello world",
-        "bod_Tibt": "ཀ་ཁ་ག",
-    },
-)
+# the texts of record 7, by language code
+_TEXTS = {
+    "deu_Latn": "Hallo Welt",
+    "fra_Latn": "Bonjour le monde",
+    "eng_Latn": "Hello world",
+    "bod_Tibt": "ཀ་ཁ་ག",
+}
 
 
-def _pair(src, tgt, rec=_RECORD):
-    return TranslationExample(src, tgt, rec.texts[src.code], rec.texts[tgt.code], rec.id)
+def _pair(src, tgt, texts=_TEXTS, sentence_id=7):
+    return TranslationExample(src, tgt, texts[src.code], texts[tgt.code], sentence_id)
 
 
 def _parse(src, tgt, pivot=ENG):
-    return parse_reform(_pair(src, tgt), pivot, _RECORD.texts[pivot.code])
+    return parse_reform(_pair(src, tgt), pivot, _TEXTS[pivot.code])
 
 
 def _mips(src, tgt, aux_in, aux_out):
-    texts = _RECORD.texts
+    texts = _TEXTS
     return mips_reform(_pair(src, tgt), aux_in, aux_out, texts[aux_in.code], texts[aux_out.code])
 
 
@@ -213,20 +211,10 @@ def test_parse_empty_pivot_text():
 
 
 def test_parse_scaffold_matches_pivot_corpus_wide():
-    records = [
-        SentenceRecord(
-            id=i,
-            texts={
-                "deu_Latn": f"Satz {i}",
-                "fra_Latn": f"Phrase {i}",
-                "eng_Latn": f"Sentence {i}",
-            },
-        )
-        for i in range(200)
-    ]
-    for rec in records:
-        out = parse_reform(_pair(DEU, FRA, rec), ENG, rec.texts["eng_Latn"])
-        assert out.input_parts[1] == rec.texts["eng_Latn"]
+    for i in range(200):
+        texts = {"deu_Latn": f"Satz {i}", "fra_Latn": f"Phrase {i}", "eng_Latn": f"Sentence {i}"}
+        out = parse_reform(_pair(DEU, FRA, texts, i), ENG, texts["eng_Latn"])
+        assert out.input_parts[1] == texts["eng_Latn"]
 
 
 def test_mips_four_languages():
