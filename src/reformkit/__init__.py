@@ -64,7 +64,6 @@ from .reformulate import (
 )
 from .schedule import (
     MaskSpec,
-    PrefixLaw,
     SchedulePolicy,
     StepPolicy,
     curriculum1,
@@ -92,7 +91,6 @@ __all__ = [
     "Language",
     "MaskSpec",
     "MultiParallelCorpus",
-    "PrefixLaw",
     "ReformkitError",
     "ReformulatedExample",
     "ScaffoldFormat",

@@ -25,8 +25,10 @@ from .corpus import (
     BilingualCorpus,
     MultiParallelCorpus,
     _substream,
+    cast_fields,
     check_seed,
     corpus_digest,
+    decode,
     example_from_record,
     partition,
     read_lines,
@@ -50,8 +52,6 @@ from .schedule import (
     POLICY_KINDS,
     SchedulePolicy,
     StepPolicy,
-    cast_fields,
-    decode,
     mask_preset,
     mix,
     policy_at,
@@ -157,7 +157,7 @@ class BuildConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BuildConfig":
-        """Inverse of ``to_dict``, through ``schedule.decode``. A stored
+        """Inverse of ``to_dict``, through ``corpus.decode``. A stored
         ``schedule.total_steps`` is checked and then re-derived at build
         time; an absent one is taken from ``n_train`` and ``batch_size``."""
         cfg = decode(cls, {**data, "schedule": None})
@@ -253,7 +253,7 @@ def _draw_aux(rng, codes: Sequence[str], src: str, tgt: str) -> list[str]:
 
 class _LazySubstream:
     """``rng()`` gives an example's ``_substream``, seeded at the first call,
-    so an example that draws nothing (a baseline, a fixed prefix law, a mask
+    so an example that draws nothing (a baseline, a fixed prefix, a mask
     preset outside its window) skips the seeding. A class, not
     ``functools.cache``, because building that wrapper costs about half the
     seeding it saves."""
@@ -298,12 +298,12 @@ def _build_example(
 
     if not reform_on or cfg.reform in MASK_PRESETS:  # a mask reform masks below
         out = baseline(example, cfg.fmt)
-    elif cfg.reform == "pose":
-        out = pose(example, step_policy.prefix_law.draw_with(rng), cfg.seg, cfg.fmt)
-    elif cfg.reform == "prefix_suffix":
-        out = prefix_suffix(
-            example, step_policy.prefix_law.draw_with(rng), cfg.front_share, cfg.seg, cfg.fmt
-        )
+    elif cfg.reform in ("pose", "prefix_suffix"):
+        prefix = rng().random() if step_policy.prefix is None else step_policy.prefix
+        if cfg.reform == "pose":
+            out = pose(example, prefix, cfg.seg, cfg.fmt)
+        else:
+            out = prefix_suffix(example, prefix, cfg.front_share, cfg.seg, cfg.fmt)
     elif cfg.reform == "parse":
         out = parse_reform(
             example, corpus.language(cfg.pivot), corpus.text(item_id, cfg.pivot), cfg.fmt

@@ -92,17 +92,30 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("REFORMKIT_SEED")
-    if raw is None:
-        return None
+def _parse_seed(raw: str, name: str, error: type[ReformkitError]) -> int:
+    """``raw`` read as a seed: an integer outside [0, 2**64), also one past
+    ``int()``'s digit limit, is a ValidationError; a non-integer is ``error``."""
     try:
-        return int(raw)
-    except ValueError as exc:
+        seed = int(raw)
+    except ValueError:
         if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", raw):  # an integer past int()'s digit limit
             digits = sum(map(str.isdecimal, raw))
             raise ValidationError(f"seed must be in [0, 2**64), got an integer of {digits} digits") from None
-        raise ValidationError(f"REFORMKIT_SEED must be an integer, got {raw!r}") from exc
+        raise error(f"{name} must be an integer, got {raw!r}") from None
+    check_seed(seed)
+    return seed
+
+
+def _seed(args, config: dict | None = None):
+    """The seed: ``--seed``, else the config's (``BuildConfig`` checks it),
+    else ``REFORMKIT_SEED``, else 0. Both strings are parsed alike, so a bad
+    seed is one error line before anything is read or written."""
+    if args.seed is not None:
+        return _parse_seed(args.seed, "--seed", UsageError)
+    if config is not None and "seed" in config:
+        return config["seed"]
+    raw = os.environ.get("REFORMKIT_SEED")
+    return 0 if raw is None else _parse_seed(raw, "REFORMKIT_SEED", ValidationError)
 
 
 def _emit(data: dict) -> None:
@@ -131,15 +144,13 @@ def _cmd_build(args) -> int:
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
         config.update(loaded)
-    # a flag overrides the config field its argparse dest names
+    # a flag overrides the config field its argparse dest names; the seed
+    # flag, a string, is then parsed by ``_seed``
     for f in fields(BuildConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             config[f.name] = value
-    if "seed" not in config:
-        env = _env_seed()
-        if env is not None:
-            config["seed"] = env
+    config["seed"] = _seed(args, config)
     cfg = BuildConfig.from_dict(config)
     corpus = _load_corpus(args.corpus, cfg.task, args.corpus_format)
     manifest = build(corpus, cfg, args.out, workers=args.workers)
@@ -155,8 +166,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    seed = _seed(args)
     corpus = load_multiparallel(args.corpus)
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
     for sentence_id, src, tgt in sample_pairs(corpus, args.n, seed):
         _emit({"sentence_id": sentence_id, "src": src, "tgt": tgt})
     return 0
@@ -188,7 +199,7 @@ def _cmd_schedule(args) -> int:
             {
                 "step": args.at,
                 "reform_fraction": sp.reform_fraction,
-                "prefix_law": asdict(sp.prefix_law),
+                "prefix": sp.prefix,
                 "mask": None if sp.mask is None else asdict(sp.mask),
             }
         )
@@ -320,8 +331,7 @@ def _smoke_builds(corpus, seed: int, out: Path) -> dict:
 
 
 def _cmd_smoke(args) -> int:
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    check_seed(seed)  # before anything is written
+    seed = _seed(args)
     out = Path(args.out)
     corpus = synth_multiparallel(8, 200, seed=seed)
     write_multiparallel(corpus, out / "corpus")
@@ -378,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-format", choices=("tsv", "jsonl"), dest="corpus_format")
     p.add_argument("--task", choices=("bilingual", "multiparallel"))
     p.add_argument("--reform")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.add_argument("--n-train", type=int, dest="n_train")
     p.add_argument("--n-valid", type=int, dest="n_valid")
     p.add_argument("--n-test", type=int, dest="n_test")
@@ -392,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="print sampled (sentence_id, src, tgt) draws")
     p.add_argument("--corpus", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("schedule", help="inspect a schedule policy")
@@ -435,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("smoke", help="end-to-end check on a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(func=_cmd_smoke)
 
     return parser

@@ -18,15 +18,17 @@ import json
 import os
 import random
 import struct
+import sys
 import unicodedata
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import accumulate, zip_longest
 from operator import sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import AlignmentError, UsageError, ValidationError
 
@@ -38,6 +40,7 @@ class Language:
     pretrain_size: int = 0
 
     def __post_init__(self) -> None:
+        cast_fields(self)
         if not self.code:
             raise ValidationError("language code must be nonempty")
         if self.pretrain_size < 0:
@@ -167,6 +170,8 @@ class BilingualCorpus(MultiParallelCorpus):
         self, source_lang: Language, target_lang: Language, pairs: Iterable[tuple[str, str]]
     ) -> None:
         try:
+            # a str is iterable but no pair: None makes zip raise for it
+            pairs = (None if isinstance(pair, str) else pair for pair in pairs)
             columns = tuple(zip(*pairs, strict=True)) or ((), ())
         except (TypeError, ValueError):
             raise ValidationError("pairs must be (source, target) texts") from None
@@ -245,6 +250,91 @@ def read_json(path: str | Path):
         raise ValidationError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from None
     except ValueError as exc:  # past sys.get_int_max_str_digits
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+
+
+def cast_scalar(name: str, annotation, value):
+    """``value`` checked against the scalar type a config field declares:
+    an int but not a bool for ``int``, any finite int or float (returned as a
+    float) for ``float``, only a bool for ``bool``, only a string for ``str``.
+    Other annotations pass through."""
+    if annotation is str:
+        ok = isinstance(value, str)
+    elif annotation is bool:
+        ok = isinstance(value, bool)
+    elif annotation is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif annotation is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        return value
+    if not ok:
+        article = "an" if annotation is int else "a"
+        raise ValidationError(f"{name} must be {article} {annotation.__name__}, got {value!r}")
+    # compared exactly, so an int too large for a float fails here, not in float()
+    if annotation is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return float(value) if annotation is float else value
+
+
+# a dataclass's resolved annotations (strings under postponed evaluation)
+_hints = cache(get_type_hints)
+
+
+@cache
+def _dataclass_in(hint):
+    """The dataclass ``hint`` names, also as ``X | None``, else ``None``."""
+    return next((t for t in (hint, *get_args(hint)) if is_dataclass(t)), None)
+
+
+def cast_fields(obj) -> None:
+    """Check each field of the frozen dataclass ``obj`` against its type
+    hint and store it cast: ``None`` if the hint allows it, a tuple of cast
+    items from a list or tuple, an instance of a dataclass hint (also
+    ``X | None``) as it is, else as ``cast_scalar`` gives it. So an int given
+    for a float field compares, hashes and echoes as the float its echo
+    rebuilds."""
+    for name, hint in _hints(type(obj)).items():
+        value = getattr(obj, name)
+        args = get_args(hint)
+        if value is None and type(None) in args:
+            continue
+        if get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(f"config key {name} must be a list")
+            value = tuple(cast_scalar(name, args[0], item) for item in value)
+        elif (cls := _dataclass_in(hint)) is not None:
+            if not isinstance(value, cls):
+                raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
+        else:
+            value = cast_scalar(name, hint, value)
+        object.__setattr__(obj, name, value)
+
+
+def decode(cls, data, where: str = "config", **given):
+    """The dataclass ``cls`` built from the JSON object ``data``.
+
+    A null value counts as absent, an absent key takes the field default
+    and ``given`` fills keys that ``data`` lacks. A dataclass field (also
+    ``X | None``) decodes recursively from an object; ``cls`` casts the
+    values itself (``cast_fields``). ``where`` names this level in the
+    messages.
+    """
+    if not isinstance(data, dict):
+        raise ValidationError(f"config key {where} must be an object")
+    values = {**given, **{key: value for key, value in data.items() if value is not None}}
+    declared = fields(cls)
+    unknown = set(values) - {f.name for f in declared}
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+    required = {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING}
+    missing = sorted(required - set(values))
+    if missing:
+        raise ValidationError(f"{where} missing required keys: {missing}")
+    for key, value in values.items():
+        nested = _dataclass_in(_hints(cls)[key])
+        if nested is not None:
+            values[key] = decode(nested, value, key)
+    return cls(**values)
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -332,31 +422,23 @@ def write_bilingual(corpus: BilingualCorpus, path: str | Path, fmt: str) -> None
 
 
 def load_manifest(path: str | Path) -> list[Language]:
-    """Read a JSON array of {"code", "in_pretrain", "pretrain_size"}: a
-    nonempty string, a bool and an int (not a bool). Each code appears once."""
-    from .schedule import cast_scalar  # schedule imports this module
-
+    """Read a JSON array of {"code", "in_pretrain", "pretrain_size"}
+    objects, each decoded as a ``Language``. Each code appears once."""
     data = read_json(path)
     if not isinstance(data, list) or not data:
         raise ValidationError(f"{path}: manifest must be a nonempty JSON array")
     langs = []
     first_at: dict[str, int] = {}
     for index, entry in enumerate(data):
-        if not isinstance(entry, dict) or "code" not in entry:
-            raise ValidationError(f'{path}: entry {index}: expected an object with a "code" key')
-        code = entry["code"]
-        if not isinstance(code, str) or not code:
-            raise ValidationError(f"{path}: entry {index}: code must be a nonempty string, got {code!r}")
-        if first_at.setdefault(code, index) != index:
-            raise ValidationError(
-                f"{path}: entry {index}: duplicate code {code} (first at entry {first_at[code]})"
-            )
         try:
-            in_pretrain = cast_scalar("in_pretrain", bool, entry.get("in_pretrain", False))
-            pretrain_size = cast_scalar("pretrain_size", int, entry.get("pretrain_size", 0))
-            langs.append(Language(code, in_pretrain, pretrain_size))
+            lang = decode(Language, entry, "language")
         except ValidationError as exc:
             raise ValidationError(f"{path}: entry {index}: {exc}") from None
+        if first_at.setdefault(lang.code, index) != index:
+            raise ValidationError(
+                f"{path}: entry {index}: duplicate code {lang.code} (first at entry {first_at[lang.code]})"
+            )
+        langs.append(lang)
     return langs
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
+from .corpus import cast_fields
 from .errors import ValidationError
-from .schedule import cast_fields
 
 SMOOTHING_NONE = "none"
 SMOOTHING_ADD_K = "add_k"

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .corpus import Language, TranslationExample
+from .corpus import Language, TranslationExample, cast_fields
 from .errors import ValidationError
 from .textseg import Segmenter, segment, take_prefix, take_suffix
 
@@ -48,8 +48,7 @@ class ScaffoldFormat:
     target_lang_tag_template: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.delimiter, str) or not isinstance(self.target_lang_tag_template, str):
-            raise ValidationError("scaffold delimiter and tag template must be strings")
+        cast_fields(self)
         if not self.delimiter:
             raise ValidationError("scaffold delimiter must be nonempty")
         if self.target_lang_tag_template and "{code}" not in self.target_lang_tag_template:

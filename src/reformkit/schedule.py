@@ -8,13 +8,9 @@ excluded from the segment below it.
 
 from __future__ import annotations
 
-import random
-import sys
-from collections.abc import Callable
-from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import dataclass, fields
 
+from .corpus import cast_fields
 from .errors import ValidationError
 from .reformulate import check_span_rate
 
@@ -80,36 +76,6 @@ class SchedulePolicy:
 
 
 @dataclass(frozen=True)
-class PrefixLaw:
-    """How a prefix fraction is drawn: uniform over [0, 1] or a fixed value."""
-
-    kind: str
-    value: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform01", "fixed"):
-            raise ValidationError(f"unknown prefix law: {self.kind!r}")
-        if self.kind == "fixed":
-            if self.value is None or not 0.0 <= self.value <= 1.0:
-                raise ValidationError(f"fixed prefix value {self.value} outside [0, 1]")
-
-    def draw_with(self, get_rng: Callable[[], random.Random]) -> float:
-        """A prefix fraction. ``get_rng`` gives the generator; a fixed law
-        never calls it."""
-        if self.kind == "fixed":
-            assert self.value is not None
-            return self.value
-        return get_rng().random()
-
-
-UNIFORM01 = PrefixLaw("uniform01")
-
-
-def fixed(value: float) -> PrefixLaw:
-    return PrefixLaw("fixed", value)
-
-
-@dataclass(frozen=True)
 class MaskSpec:
     p: float
     span: bool = False
@@ -119,7 +85,7 @@ class MaskSpec:
 @dataclass(frozen=True)
 class StepPolicy:
     reform_fraction: float
-    prefix_law: PrefixLaw = UNIFORM01
+    prefix: float | None = None  # the prefix fraction; None draws it uniformly
     mask: MaskSpec | None = None
 
 
@@ -190,7 +156,7 @@ def _evaluate(step: int, policy: SchedulePolicy) -> StepPolicy:
     if policy.kind == KIND_MIX:
         return StepPolicy(reform_fraction=policy.frac)
     if policy.kind == KIND_CURRICULUM1:
-        return StepPolicy(reform_fraction=1.0, prefix_law=fixed(_clamp01(1.0 - x)))
+        return StepPolicy(reform_fraction=1.0, prefix=_clamp01(1.0 - x))
     if policy.kind == KIND_CURRICULUM2:
         if x < 0.2:
             frac = 0.8
@@ -201,7 +167,7 @@ def _evaluate(step: int, policy: SchedulePolicy) -> StepPolicy:
         return StepPolicy(reform_fraction=_clamp01(frac))
     if policy.kind == KIND_CURRICULUM3:
         if x < 0.2:
-            return StepPolicy(reform_fraction=1.0, prefix_law=fixed(_clamp01(1.0 - x / 0.2)))
+            return StepPolicy(reform_fraction=1.0, prefix=_clamp01(1.0 - x / 0.2))
         return StepPolicy(reform_fraction=0.0)
     assert policy.kind == KIND_MASK_WINDOW
     if policy.start_frac <= x < policy.end_frac:
@@ -232,10 +198,7 @@ def dump_curve(policy: SchedulePolicy, resolution: int) -> list[tuple[int, float
     for i in range(resolution):
         step = round(i * T / (resolution - 1))
         sp = _evaluate(step, policy)
-        if sp.prefix_law.kind == "fixed":
-            prefix = format(sp.prefix_law.value, ".6g")
-        else:
-            prefix = "uniform01"
+        prefix = "uniform01" if sp.prefix is None else format(sp.prefix, ".6g")
         rows.append((step, sp.reform_fraction, prefix, sp.mask is not None))
     return rows
 
@@ -250,85 +213,3 @@ def curve_tsv(policy: SchedulePolicy, resolution: int) -> str:
 def policy_to_dict(policy: SchedulePolicy) -> dict:
     names = ("kind", "total_steps", *KIND_FIELDS[policy.kind])
     return {name: getattr(policy, name) for name in names}
-
-
-def cast_scalar(name: str, annotation, value):
-    """``value`` checked against the scalar type a config field declares:
-    an int but not a bool for ``int``, any finite int or float (returned as a
-    float) for ``float``, only a bool for ``bool``, only a string for ``str``.
-    Other annotations pass through."""
-    if annotation is str:
-        ok = isinstance(value, str)
-    elif annotation is bool:
-        ok = isinstance(value, bool)
-    elif annotation is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif annotation is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        return value
-    if not ok:
-        article = "an" if annotation is int else "a"
-        raise ValidationError(f"{name} must be {article} {annotation.__name__}, got {value!r}")
-    # compared exactly, so an int too large for a float fails here, not in float()
-    if annotation is float and not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return float(value) if annotation is float else value
-
-
-# a dataclass's resolved annotations (strings under postponed evaluation)
-_hints = cache(get_type_hints)
-
-
-def cast_fields(obj) -> None:
-    """Store each field of the frozen dataclass ``obj`` as ``_cast_field``
-    gives it, by the rules ``decode`` applies to JSON, so an int given for a
-    float field compares, hashes and echoes as the float its echo rebuilds."""
-    for name, hint in _hints(type(obj)).items():
-        object.__setattr__(obj, name, _cast_field(name, hint, getattr(obj, name), _instance))
-
-
-def _instance(cls, value, name: str):
-    if not isinstance(value, cls):
-        raise ValidationError(f"{name} must be a {cls.__name__}, got {value!r}")
-    return value
-
-
-def _cast_field(name: str, hint, value, nested):
-    """``value`` for the field ``name`` declared ``hint``: ``None`` if the hint
-    allows it, a tuple of cast items from a list or tuple, ``nested(cls, value,
-    name)`` for a dataclass ``cls`` (also ``cls | None``), else ``cast_scalar``."""
-    args = get_args(hint)
-    if value is None and type(None) in args:
-        return None
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValidationError(f"config key {name} must be a list")
-        return tuple(cast_scalar(name, args[0], item) for item in value)
-    nested_cls = [t for t in (hint, *args) if is_dataclass(t)]
-    if nested_cls:
-        return nested(nested_cls[0], value, name)
-    return cast_scalar(name, hint, value)
-
-
-def decode(cls, data, where: str = "config", **given):
-    """The dataclass ``cls`` built from the JSON object ``data``.
-
-    A null value counts as absent, an absent key takes the field default
-    and ``given`` fills keys that ``data`` lacks. Each value goes through
-    ``_cast_field``, as in ``cast_fields``, but a dataclass field (also
-    ``X | None``) decodes recursively from an object. ``where`` names this
-    level in the messages.
-    """
-    if not isinstance(data, dict):
-        raise ValidationError(f"config key {where} must be an object")
-    values = {**given, **{key: value for key, value in data.items() if value is not None}}
-    declared = fields(cls)
-    unknown = set(values) - {f.name for f in declared}
-    if unknown:
-        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
-    required = {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING}
-    missing = sorted(required - set(values))
-    if missing:
-        raise ValidationError(f"{where} missing required keys: {missing}")
-    return cls(**{key: _cast_field(key, _hints(cls)[key], v, decode) for key, v in values.items()})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .corpus import read_lines
+from .corpus import cast_fields, read_lines
 from .errors import UsageError, ValidationError
 
 KIND_UNICODE_WORDS = "unicode_words"
@@ -31,6 +31,7 @@ class Segmenter:
     kind: str = KIND_UNICODE_WORDS
 
     def __post_init__(self) -> None:
+        cast_fields(self)
         if self.kind not in SEGMENTER_KINDS:
             raise ValidationError(f"unknown segmenter kind: {self.kind!r}")
 

@@ -158,8 +158,8 @@ def test_criterion_04_schedule_spot_values():
         T = 500
         c1 = curriculum1(T)
         first, last = policy_at(0, c1), policy_at(T - 1, c1)
-        assert first.prefix_law.kind == "fixed" and first.prefix_law.value == 1.0
-        assert last.prefix_law.value <= 1.0 / T + 1e-12
+        assert first.prefix == 1.0
+        assert last.prefix <= 1.0 / T + 1e-12
         assert first.reform_fraction == last.reform_fraction == 1.0
 
         for total in (10, 879, 10_000):

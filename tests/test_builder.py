@@ -30,6 +30,7 @@ from reformkit.corpus import (
     MultiParallelCorpus,
     TranslationExample,
     corpus_digest,
+    decode,
     load_multiparallel,
     partition,
     split,
@@ -42,7 +43,6 @@ from reformkit.schedule import (
     POLICY_KINDS,
     SchedulePolicy,
     curriculum1,
-    decode,
     mask_window,
     mix,
     window_first,

@@ -206,6 +206,10 @@ def test_schedule_at_matches_policy():
         assert code == 0
         payload = json.loads(out)
         assert payload["reform_fraction"] == policy_at(step, policy).reform_fraction
+        assert payload["prefix"] is None
+    # a curriculum fixes the prefix fraction, and the JSON holds the number
+    code, out, _ = run_cli(["schedule", "--preset", "curriculum1", "--steps", "10", "--at", "3"])
+    assert (code, json.loads(out)["prefix"]) == (0, 0.7)
 
 
 def test_schedule_dump_tsv():
@@ -554,6 +558,29 @@ def test_env_seed_too_long_to_convert_exits_1(tmp_path, multi_corpus, monkeypatc
         ["smoke", "--out", str(tmp_path / "s")],
     ):
         assert run_cli(argv) == (1, "", error)
+    assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "seed, code, error",
+    [
+        ("9" * 5000, 1, "error: seed must be in [0, 2**64), got an integer of 5000 digits\n"),
+        ("18446744073709551616", 1, "error: seed must be in [0, 2**64), got 18446744073709551616\n"),
+        ("seven", 2, "error: --seed must be an integer, got 'seven'\n"),
+        ("1.5", 2, "error: --seed must be an integer, got '1.5'\n"),
+    ],
+    ids=["nines", "2**64", "word", "float"],
+)
+def test_seed_flag_is_parsed_as_the_environment_is(tmp_path, multi_corpus, monkeypatch, seed, code, error):
+    # the flag wins over a valid environment seed, and fails before anything is written
+    monkeypatch.setenv("REFORMKIT_SEED", "3")
+    for argv in (
+        ["build", "--corpus", str(multi_corpus), "--out", str(tmp_path / "b"), "--task",
+         "multiparallel", "--reform", "none", "--n-train", "20", "--batch-size", "10"],
+        ["sample", "--corpus", str(multi_corpus), "--n", "3"],
+        ["smoke", "--out", str(tmp_path / "s")],
+    ):
+        assert run_cli([*argv, "--seed", seed]) == (code, "", error)
     assert not (tmp_path / "b").exists() and not (tmp_path / "s").exists()
 
 

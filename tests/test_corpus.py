@@ -32,7 +32,11 @@ from reformkit.corpus import (
     write_multiparallel,
 )
 from reformkit.errors import AlignmentError, ReformkitError, UsageError, ValidationError
+from reformkit.metrics import ScoreConfig
+from reformkit.reformulate import ScaffoldFormat
+from reformkit.schedule import SchedulePolicy
 from reformkit.synth import synth_bilingual, synth_multiparallel
+from reformkit.textseg import Segmenter
 
 
 def _texts(corpus):
@@ -569,6 +573,12 @@ def test_pairs_of_another_length_are_rejected():
     for pairs in ([("x", "y"), ("z",)], [("x", "y", "z")], [None]):
         with pytest.raises(ValidationError):
             BilingualCorpus(src, tgt, pairs)
+    # a str of two characters is no pair either
+    for pairs in (["ab", "cd"], [("x", "y"), "cd"], "abcd", (pair for pair in ["ab"]), 5):
+        with pytest.raises(ValidationError) as err:
+            BilingualCorpus(src, tgt, pairs)
+        assert str(err.value) == "pairs must be (source, target) texts"
+    assert BilingualCorpus(src, tgt, (pair for pair in [("x", "y")])).pairs == (("x", "y"),)
 
 
 _CORPUS_TEXT = st.one_of(
@@ -632,10 +642,13 @@ def test_loaded_corpus_is_smaller_than_its_texts_as_strings(tmp_path):
         ({"code": "aaa", "pretrain_size": 3.7}, "pretrain_size must be an int, got 3.7"),
         ({"code": "aaa", "pretrain_size": True}, "pretrain_size must be an int, got True"),
         ({"code": "aaa", "pretrain_size": "12"}, "pretrain_size must be an int, got '12'"),
-        ({"code": 5}, "code must be a nonempty string, got 5"),
-        ({"code": ""}, "code must be a nonempty string, got ''"),
+        ({"code": 5}, "code must be a str, got 5"),
+        ({"code": ""}, "language code must be nonempty"),
         ({"code": "aaa", "pretrain_size": -3}, "aaa: pretrain_size must be >= 0"),
         ({"code": "eng_Latn", "in_pretrain": True}, "duplicate code eng_Latn (first at entry 0)"),
+        ({"code": "aaa", "script": "Latn"}, "unknown language keys: ['script']"),
+        ({"in_pretrain": True}, "language missing required keys: ['code']"),
+        (["aaa"], "config key language must be an object"),
     ],
 )
 def test_manifest_values_are_cast_strictly(tmp_path, entry, what):
@@ -651,3 +664,32 @@ def test_manifest_defaults_and_typed_values_load(tmp_path):
     entries = [{"code": "eng_Latn", "in_pretrain": True, "pretrain_size": 12}, {"code": "bod_Tibt"}]
     path.write_text(json.dumps(entries), encoding="utf-8")
     assert load_manifest(path) == [Language("eng_Latn", True, 12), Language("bod_Tibt", False, 0)]
+    # a null value counts as absent, as in a build config
+    path.write_text(json.dumps([{"code": "aaa", "in_pretrain": None, "pretrain_size": None}]), encoding="utf-8")
+    assert load_manifest(path) == [Language("aaa")]
+
+
+_WRONG_TYPES = [
+    (Language, (5,), {}, "code must be a str, got 5"),
+    (Language, ("x",), {"in_pretrain": 1}, "in_pretrain must be a bool, got 1"),
+    (Language, ("x",), {"pretrain_size": "5"}, "pretrain_size must be an int, got '5'"),
+    (ScaffoldFormat, (), {"delimiter": 5}, "delimiter must be a str, got 5"),
+    (ScaffoldFormat, (), {"target_lang_tag_template": None}, "target_lang_tag_template must be a str, got None"),
+    (Segmenter, (["whitespace"],), {}, "kind must be a str, got ['whitespace']"),
+    (SchedulePolicy, ("mix", "10"), {}, "total_steps must be an int, got '10'"),
+    (ScoreConfig, (), {"beta": "2"}, "beta must be a float, got '2'"),
+    (ScoreConfig, (), {"word_n": 2.0}, "word_n must be an int, got 2.0"),
+    (BuildConfig, ("bilingual", "pose", "10", 5), {}, "n_train must be an int, got '10'"),
+    (BuildConfig, ("bilingual", "pose", 10, 5), {"seg": "whitespace"}, "seg must be a Segmenter, got 'whitespace'"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, message",
+    _WRONG_TYPES,
+    ids=[f"{cls.__name__}.{message.split()[0]}" for cls, _, _, message in _WRONG_TYPES],
+)
+def test_a_config_field_of_the_wrong_type_is_a_validation_error(cls, args, kwargs, message):
+    with pytest.raises(ValidationError) as err:
+        cls(*args, **kwargs)
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
-"""Static checks over the reformkit modules: every name a module imports
-is used there or re-exported, only ``corpus.py`` opens files, only the
+"""Static checks over the reformkit modules: every import sits at module
+level and every name it binds is used there or re-exported, only
+``corpus.py`` opens files, only the
 reform table and the kernel dispatch name a reform by a string, and only the
 corpus constructor joins texts into a column."""
 
@@ -47,6 +48,19 @@ def test_every_import_is_used_or_exported(path):
         if name not in used and name not in _exported(tree)
     }
     assert not unused, f"{path.name}: imported but unused: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    """An import inside a function hides a dependency, often a cycle, from
+    a reader of the module's head."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert not nested, f"{path.name}: imports below module level: {nested}"
 
 
 # the methods that open, read or write a file (os.replace is checked apart)

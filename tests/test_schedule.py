@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
+from reformkit.corpus import decode
 from reformkit.errors import ValidationError
 from reformkit.schedule import (
     MASK_PRESETS,
@@ -15,9 +14,7 @@ from reformkit.schedule import (
     curriculum2,
     curriculum3,
     curve_tsv,
-    decode,
     dump_curve,
-    fixed,
     mask_preset,
     mask_window,
     mix,
@@ -55,14 +52,13 @@ def test_curriculum1_prefix_declines_linearly():
     first = policy_at(0, p)
     last = policy_at(T - 1, p)
     assert first.reform_fraction == 1.0 and last.reform_fraction == 1.0
-    assert first.prefix_law == fixed(1.0)
-    assert last.prefix_law.kind == "fixed"
-    assert abs(last.prefix_law.value) <= 1 / T
+    assert first.prefix == 1.0
+    assert 0.0 <= last.prefix <= 1 / T
 
 
 def test_curriculum3_front_loaded():
     p = curriculum3(T)
-    assert policy_at(1000, p).prefix_law == fixed(0.5)
+    assert policy_at(1000, p).prefix == 0.5
     assert policy_at(0, p).reform_fraction == 1.0
     assert policy_at(2000, p).reform_fraction == 0.0
     assert policy_at(9999, p).reform_fraction == 0.0
@@ -166,8 +162,10 @@ def test_fractions_always_in_unit_interval(kind, total, data):
     step = data.draw(st.integers(min_value=0, max_value=total - 1))
     sp = policy_at(step, policy)
     assert 0.0 <= sp.reform_fraction <= 1.0
-    if sp.prefix_law.kind == "fixed":
-        assert 0.0 <= sp.prefix_law.value <= 1.0
+    if kind in ("curriculum1", "curriculum3") and sp.reform_fraction:
+        assert 0.0 <= sp.prefix <= 1.0
+    else:  # a prefix left to the build's uniform draw
+        assert sp.prefix is None
 
 
 def decode_schedule(data):
@@ -185,14 +183,6 @@ def test_policy_dict_round_trip():
     ]
     for p in policies:
         assert decode_schedule(policy_to_dict(p)) == p
-
-
-def test_prefix_law_draw():
-    rng = random.Random(4)
-    assert fixed(0.3).draw_with(lambda: rng) == 0.3
-    u = [policy_at(0, mix(0.5, 10)).prefix_law.draw_with(lambda: rng) for _ in range(100)]
-    assert all(0.0 <= v < 1.0 for v in u)
-    assert len(set(u)) > 90
 
 
 def test_schedule_validation():
