@@ -160,7 +160,7 @@ class BuildConfig:
         """Inverse of ``to_dict``, through ``corpus.decode``. A stored
         ``schedule.total_steps`` is checked and then re-derived at build
         time; an absent one is taken from ``n_train`` and ``batch_size``."""
-        cfg = decode(cls, {**data, "schedule": None})
+        cfg = decode(cls, {**data, "schedule": None} if isinstance(data, dict) else data)
         if data.get("schedule") is None:
             return cfg
         schedule = decode(SchedulePolicy, data["schedule"], "schedule", total_steps=cfg.total_steps)

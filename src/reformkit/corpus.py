@@ -5,7 +5,8 @@ On-disk conventions:
   - bilingual JSONL: one object per line with keys "source" and "target"
   - multi-parallel: one UTF-8 file per language ("<code>.txt", one sentence
     per line) next to a "manifest.json" listing
-    {"code", "in_pretrain", "pretrain_size"} per language
+    {"code", "in_pretrain", "pretrain_size"} per language, and an "ids.json"
+    array of record ids when they are not 0 .. n-1
 
 All text is NFC-normalized and edge-trimmed at load. Empty-after-trim text
 is a hard error, never a silent drop, so alignment is preserved exactly.
@@ -172,10 +173,10 @@ class BilingualCorpus(MultiParallelCorpus):
         try:
             # a str is iterable but no pair: None makes zip raise for it
             pairs = (None if isinstance(pair, str) else pair for pair in pairs)
-            columns = tuple(zip(*pairs, strict=True)) or ((), ())
+            source, target = tuple(zip(*pairs, strict=True)) or ((), ())
         except (TypeError, ValueError):
             raise ValidationError("pairs must be (source, target) texts") from None
-        super().__init__((source_lang, target_lang), columns)
+        super().__init__((source_lang, target_lang), (source, target))
 
     @property
     def source_lang(self) -> Language:
@@ -445,7 +446,8 @@ def load_manifest(path: str | Path) -> list[Language]:
 def load_multiparallel(path: str | Path) -> MultiParallelCorpus:
     """Load aligned one-file-per-language text, checking full alignment.
 
-    ``path`` is either the corpus directory or its manifest file.
+    ``path`` is either the corpus directory or its manifest file. An
+    ``ids.json`` beside the manifest gives the record ids.
     """
     path = Path(path)
     manifest_path = path if path.is_file() else path / "manifest.json"
@@ -464,7 +466,12 @@ def load_multiparallel(path: str | Path) -> MultiParallelCorpus:
                 raise ValidationError(f"{lang_file}: line {texts.index('') + 1}: empty sentence")
             yield texts
 
-    return MultiParallelCorpus(langs, per_language())
+    ids_path, ids = manifest_path.parent / "ids.json", None
+    if ids_path.exists():
+        ids = read_json(ids_path)
+        if not isinstance(ids, list) or not all(type(rid) is int for rid in ids):
+            raise ValidationError(f"{ids_path}: record ids must be a JSON array of integers")
+    return MultiParallelCorpus(langs, per_language(), ids)
 
 
 def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> None:
@@ -478,6 +485,14 @@ def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> N
     for code in corpus.codes:
         lines = (corpus.text(i, code) + "\n" for i in range(len(corpus)))
         write_atomic(directory / f"{code}.txt", (line.encode("utf-8") for line in lines))
+    if _default_ids(corpus):
+        (directory / "ids.json").unlink(missing_ok=True)
+    else:
+        write_atomic(directory / "ids.json", (json.dumps(corpus.ids.tolist()).encode("utf-8") + b"\n",))
+
+
+def _default_ids(corpus: MultiParallelCorpus) -> bool:
+    return corpus.ids == array("q", range(len(corpus)))
 
 
 def check_seed(seed: int) -> None:
@@ -555,7 +570,9 @@ def _content_digest(corpus: MultiParallelCorpus) -> str:
     corpus order, then one block per language column in sorted code order:
     the code, the text count and each text's length in code points
     (big-endian 8-byte words, so no text content can fake a boundary), then
-    the column's texts as stored. Every corpus kind hashes in this layout."""
+    the column's texts as stored. Every corpus kind hashes in this layout.
+    Record ids other than ``0 .. n-1`` follow, after ``ids\\x00``, as
+    big-endian signed 8-byte words."""
     hasher = hashlib.sha256()
     hasher.update(b"multiparallel\x00")
     for lang in corpus.languages:
@@ -568,4 +585,6 @@ def _content_digest(corpus: MultiParallelCorpus) -> str:
         hasher.update(code.encode("utf-8") + b"\x00")
         hasher.update(struct.pack(f">{n + 1}Q", n, *map(sub, offsets[1:], offsets)))
         hasher.update(column.encode("utf-8"))
+    if not _default_ids(corpus):
+        hasher.update(b"ids\x00" + struct.pack(f">{len(corpus)}q", *corpus.ids))
     return hasher.hexdigest()

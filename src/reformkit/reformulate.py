@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from string import Formatter
 from typing import Sequence
 
 from .corpus import Language, TranslationExample, cast_fields
@@ -40,8 +41,9 @@ TAGS = (
 class ScaffoldFormat:
     """How scaffolds are glued onto inputs.
 
-    ``target_lang_tag_template`` is a template with one ``{code}`` slot
-    prepended to the input (e.g. ``"<2{code}> "``), or empty for none.
+    ``target_lang_tag_template`` is a template prepended to the input
+    (e.g. ``"<2{code}> "``), or empty for none; its replacement fields are
+    all ``{code}``, with no conversion or format spec.
     """
 
     delimiter: str = "\n"
@@ -51,8 +53,15 @@ class ScaffoldFormat:
         cast_fields(self)
         if not self.delimiter:
             raise ValidationError("scaffold delimiter must be nonempty")
-        if self.target_lang_tag_template and "{code}" not in self.target_lang_tag_template:
-            raise ValidationError("target-language tag template needs a {code} slot")
+        template = self.target_lang_tag_template
+        try:
+            slots = {parts[1:] for parts in Formatter().parse(template) if parts[1] is not None}
+        except ValueError:  # a stray brace
+            slots = None
+        if template and slots != {("code", "", None)}:
+            raise ValidationError(
+                f"target-language tag template needs {{code}} as its only field, got {template!r}"
+            )
 
     def tag_for(self, target_lang: Language) -> str:
         if not self.target_lang_tag_template:

@@ -8,7 +8,6 @@ which keeps unit counts equal to intuitive word counts.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,18 +35,6 @@ class Segmenter:
             raise ValidationError(f"unknown segmenter kind: {self.kind!r}")
 
 
-# One pattern per kind. Each match is one unit: group 1 is the word
-# core, the rest trailing separators. Matches are greedy and adjacent, so
-# leading separators can only land on the first match, which starts at 0.
-# U+0F0B / U+0F0C are the Tibetan intersyllabic tsheg marks, word delimiters
-# that are not Unicode whitespace.
-_UNIT_PATTERNS = {
-    KIND_UNICODE_WORDS: re.compile(r"[\s་༌]*([^\s་༌]+)[\s་༌]*"),
-    KIND_WHITESPACE: re.compile(r"\s*(\S+)\s*"),
-    KIND_CODEPOINTS: re.compile(r"(.)", re.DOTALL),
-}
-
-
 @dataclass(frozen=True)
 class Segmentation:
     """A view of ``source`` under ``seg``. ``units`` holds one
@@ -60,12 +47,23 @@ class Segmentation:
 
     @cached_property
     def units(self) -> tuple[tuple[int, int, int], ...]:
-        s, pattern = self.source, _UNIT_PATTERNS[self.seg.kind]
-        units = tuple((m.start(), m.end(1), m.end()) for m in pattern.finditer(s))
-        if s and not units:
+        # The cores are the words of ``_spaced(...).split()``: a core holds no
+        # separator, so its first match after the previous core is itself. A
+        # unit runs to the next core; the first starts at 0, the last ends at len.
+        s, kind = self.source, self.seg.kind
+        if kind == KIND_CODEPOINTS:
+            return tuple((i, i + 1, i + 1) for i in range(len(s)))
+        spaced = _spaced(s, kind)
+        starts, core_ends, pos = [], [], 0
+        for core in spaced.split():
+            pos = spaced.find(core, pos)
+            starts.append(pos)
+            pos += len(core)
+            core_ends.append(pos)
+        if not starts:
             # Separator-only string: a single unit with no core.
-            units = ((0, len(s), len(s)),)
-        return units
+            return ((0, len(s), len(s)),) if s else ()
+        return tuple(zip([0, *starts[1:]], core_ends, [*starts[1:], len(s)]))
 
     def __len__(self) -> int:
         # cached by hand: a cached_property takes a lock on first read before Python 3.12
@@ -82,7 +80,9 @@ def segment(s: str, seg: Segmenter | None = None) -> Segmentation:
 
 def _spaced(s: str, kind: str) -> str:
     """``s`` with the kind's separators made spaces, for ``str.split``; the
-    length is unchanged, so positions in it are positions in ``s``."""
+    length is unchanged, so positions in it are positions in ``s``. The
+    Tibetan tsheg marks U+0F0B and U+0F0C delimit words but are not
+    Unicode whitespace."""
     if kind == KIND_UNICODE_WORDS:
         return s.replace("\u0f0b", " ").replace("\u0f0c", " ")
     return s
@@ -125,9 +125,7 @@ def take_suffix(segmentation: Segmentation, k: int) -> str:
 
 def count_units(s: str, seg: Segmenter | None = None) -> int:
     """``len(segment(s, seg).units)``, without building the offsets: a
-    nonempty separator-only string is one unit. ``str.split`` finds the
-    word cores because ``str.isspace`` holds on exactly the code points
-    that ``\\s`` matches."""
+    nonempty separator-only string is one unit."""
     kind = seg.kind if seg is not None else KIND_UNICODE_WORDS
     if kind == KIND_CODEPOINTS:
         return len(s)

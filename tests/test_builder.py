@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -665,6 +666,13 @@ def test_config_corpus_mismatch(tmp_path):
         build(multi, cfg, tmp_path)
 
 
+def test_from_dict_of_a_non_object_is_a_validation_error():
+    for value in ([], "config", None):
+        with pytest.raises(ValidationError) as err:
+            BuildConfig.from_dict(value)
+        assert str(err.value) == "config key config must be an object"
+
+
 def test_config_dict_round_trip():
     cfg = BuildConfig(
         task="multiparallel",
@@ -1129,37 +1137,32 @@ def test_each_example_is_built_once(tmp_path, monkeypatch):
         assert len(made) == 110
 
 
-class _CountedPattern:
-    """A unit pattern that counts its ``finditer`` scans, one per text whose
-    unit offsets are built."""
-
-    def __init__(self, pattern, scans: Counter) -> None:
-        self.pattern, self.scans = pattern, scans
-
-    def finditer(self, text):
-        self.scans[self.pattern.pattern] += 1
-        return self.pattern.finditer(text)
-
-
 @pytest.mark.parametrize("kind", SEGMENTER_KINDS)
 def test_only_masking_builds_unit_offsets(tmp_path, monkeypatch, kind):
     # the scaffolds and truncation cut with str.split; only the mask
     # kernels read the (start, core_end, end) offsets
-    scans = Counter()
-    for name, pattern in list(reformkit.textseg._UNIT_PATTERNS.items()):
-        monkeypatch.setitem(reformkit.textseg._UNIT_PATTERNS, name, _CountedPattern(pattern, scans))
+    builds = Counter()
+    units = reformkit.textseg.Segmentation.units.func
+
+    def counted_units(view):
+        builds[view.seg.kind] += 1
+        return units(view)
+
+    counted = functools.cached_property(counted_units)
+    counted.__set_name__(reformkit.textseg.Segmentation, "units")
+    monkeypatch.setattr(reformkit.textseg.Segmentation, "units", counted)
     corpus = synth_bilingual(60, seed=3)
     common = dict(task="bilingual", n_train=120, batch_size=20, seed=4, max_len=8, seg=Segmenter(kind))
     for reform in ("pose", "prefix_suffix", "mask4"):
-        scans.clear()
+        builds.clear()
         manifest = build(corpus, BuildConfig(reform=reform, **common), tmp_path / reform)
         train = manifest.splits["train"]
         if reform == "mask4":
             assert train["tags"]["span_mask"] > 0
-            assert sum(scans.values()) > 0
+            assert sum(builds.values()) > 0
         else:
             assert train["tags"][reform] > 0 and train["truncated"] > 0
-            assert sum(scans.values()) == 0, reform
+            assert sum(builds.values()) == 0, reform
 
 
 def test_the_schedule_is_evaluated_once_per_step_per_shard_job(tmp_path, monkeypatch):

@@ -457,6 +457,20 @@ def test_non_object_config_exits_1(tmp_path, multi_corpus):
     assert (code, out, err) == (1, "", f"error: {config}: config must be a JSON object\n")
 
 
+@pytest.mark.parametrize("template", ["<2{code}> {x}", "<2{code}> {", "<2{code}> {0}"])
+def test_bad_tag_template_exits_1_before_writing(tmp_path, multi_corpus, template):
+    config = tmp_path / "config.json"
+    data = {"task": "multiparallel", "reform": "none", "n_train": 20, "batch_size": 10}
+    config.write_text(json.dumps({**data, "fmt": {"target_lang_tag_template": template}}), encoding="utf-8")
+    out_dir = tmp_path / "b"
+    code, out, err = run_cli(
+        ["build", "--config", str(config), "--corpus", str(multi_corpus), "--out", str(out_dir)]
+    )
+    message = f"error: target-language tag template needs {{code}} as its only field, got {template!r}\n"
+    assert (code, out, err) == (1, "", message)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "reform, schedule",
     [

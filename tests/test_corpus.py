@@ -455,6 +455,35 @@ def test_digest_sees_any_one_text_changing():
     assert len(digests) == 5
 
 
+def test_digest_sees_record_ids():
+    langs, texts = (Language("aaa"), Language("bbb")), (["x"] * 30, ["y"] * 30)
+    corpus = MultiParallelCorpus(langs, texts)
+    assert corpus_digest(MultiParallelCorpus(langs, texts, ids=range(30))) == corpus_digest(corpus)
+    moved = MultiParallelCorpus(langs, texts, ids=range(100, 130))
+    swapped = MultiParallelCorpus(langs, texts, ids=[1, 0, *range(2, 30)])
+    assert moved != corpus and swapped != corpus
+    assert len({corpus_digest(corpus), corpus_digest(moved), corpus_digest(swapped)}) == 3
+
+
+def test_record_ids_survive_a_write_and_a_load(tmp_path):
+    langs, texts = (Language("aaa"), Language("bbb")), (["x", "y"], ["z", "w"])
+    corpus = MultiParallelCorpus(langs, texts, ids=[7, -3])
+    write_multiparallel(corpus, tmp_path)
+    assert json.loads((tmp_path / "ids.json").read_text(encoding="utf-8")) == [7, -3]
+    assert list(load_multiparallel(tmp_path).ids) == [7, -3]
+    # default ids write no ids.json and remove a stale one
+    write_multiparallel(MultiParallelCorpus(langs, texts), tmp_path)
+    assert not (tmp_path / "ids.json").exists()
+    assert list(load_multiparallel(tmp_path).ids) == [0, 1]
+    for bad in ("{}", "[1, true]", '[1, "2"]'):
+        (tmp_path / "ids.json").write_text(bad, encoding="utf-8")
+        with pytest.raises(ValidationError, match="record ids must be a JSON array of integers"):
+            load_multiparallel(tmp_path)
+    (tmp_path / "ids.json").write_text("[5]", encoding="utf-8")
+    with pytest.raises(AlignmentError, match=r"expected 1 \(from ids\)"):
+        load_multiparallel(tmp_path)
+
+
 def test_digest_is_pinned():
     # the layout spelled out: header, then per column its code, the text
     # count and code-point lengths as big-endian 8-byte words, and its texts;
@@ -570,11 +599,13 @@ def test_given_record_ids_fit_64_bits_and_are_copied():
 def test_pairs_of_another_length_are_rejected():
     src, tgt = Language("a"), Language("b")
     assert len(BilingualCorpus(src, tgt, [])) == 0
-    for pairs in ([("x", "y"), ("z",)], [("x", "y", "z")], [None]):
+    for pairs in ([("x", "y"), ("z",)], [None]):
         with pytest.raises(ValidationError):
             BilingualCorpus(src, tgt, pairs)
-    # a str of two characters is no pair either
-    for pairs in (["ab", "cd"], [("x", "y"), "cd"], "abcd", (pair for pair in ["ab"]), 5):
+    # pairs all of one other length, and a str of two characters, are no pairs either
+    for pairs in (
+        [("x", "y", "z")], [("x",)], ["ab", "cd"], [("x", "y"), "cd"], "abcd", (pair for pair in ["ab"]), 5
+    ):
         with pytest.raises(ValidationError) as err:
             BilingualCorpus(src, tgt, pairs)
         assert str(err.value) == "pairs must be (source, target) texts"

@@ -65,6 +65,20 @@ def test_format_validation():
         ScaffoldFormat(target_lang_tag_template="<2code> ")
 
 
+@pytest.mark.parametrize(
+    "template",
+    ["<2{code}> {x}", "<2{code}> {", "<2{code}> {0}", "<2{code}> }", "{}", "{{code}}", "{code!r}", "{code:>9}"],
+)
+def test_tag_template_fields_other_than_code_are_rejected(template):
+    with pytest.raises(ValidationError, match="needs {code} as its only field"):
+        ScaffoldFormat(target_lang_tag_template=template)
+
+
+def test_tag_template_with_escaped_braces():
+    fmt = ScaffoldFormat(target_lang_tag_template="{{{code}}} {code} ")
+    assert fmt.tag_for(Language("eng_Latn")) == "{eng_Latn} eng_Latn "
+
+
 def test_pose_zero_matches_baseline_input():
     fmt = ScaffoldFormat(target_lang_tag_template="<2{code}> ")
     ex = _ex(target="the blessed one spoke")

@@ -24,8 +24,24 @@ from reformkit.textseg import (
 )
 
 # Independent oracle: count maximal runs of non-separator characters via
-# re.split, a different mechanism than the implementation's finditer.
+# re.split, a different mechanism than the implementation's str.split.
 _SEP_CLASS = re.compile(r"[\s་༌]+")
+
+# Offset oracle: one pattern per kind, each match one unit. Group 1 is the
+# word core, the rest trailing separators; matches are greedy and adjacent,
+# so leading separators land on the first match, which starts at 0.
+_UNIT_PATTERNS = {
+    "unicode_words": re.compile(r"[\s་༌]*([^\s་༌]+)[\s་༌]*"),
+    "whitespace": re.compile(r"\s*(\S+)\s*"),
+    "codepoints": re.compile(r"(.)", re.DOTALL),
+}
+
+
+def _oracle_units(s: str, kind: str) -> tuple[tuple[int, int, int], ...]:
+    units = tuple((m.start(), m.end(1), m.end()) for m in _UNIT_PATTERNS[kind].finditer(s))
+    if s and not units:
+        units = ((0, len(s), len(s)),)
+    return units
 
 
 def _oracle_word_count(s: str) -> int:
@@ -125,13 +141,23 @@ def test_count_units_equals_segment_unit_count(kind):
 
 
 def test_isspace_is_regex_whitespace():
-    # count_units splits on str.isspace where segment matches \s, so the
-    # two must agree on every code point; the tsheg marks are neither
+    # textseg splits on str.isspace where the offset oracle matches \s, so
+    # the two must agree on every code point; the tsheg marks are neither
     regex_space = re.compile(r"\s").fullmatch
     for cp in range(sys.maxunicode + 1):
         c = chr(cp)
         assert c.isspace() == (regex_space(c) is not None), hex(cp)
     assert not any(c.isspace() for c in "\u0f0b\u0f0c")
+
+
+# The separators above plus U+001C (a control char that is whitespace) and
+# U+0085 (NEL), a combining mark (U+0301) and letters.
+_OFFSET_ALPHABET = _COUNT_ALPHABET + "\u001c\u0085\u0301"
+
+
+@given(st.text(alphabet=_OFFSET_ALPHABET, max_size=40), st.sampled_from(SEGMENTER_KINDS))
+def test_units_equal_the_regex_oracle(s, kind):
+    assert segment(s, Segmenter(kind)).units == _oracle_units(s, kind)
 
 
 def test_separator_only_string_is_one_unit():
