@@ -14,10 +14,11 @@ import json
 import math
 import random
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -47,9 +48,9 @@ from .reformulate import (
     span_mask,
 )
 from .schedule import (
+    KIND_FIELDS,
     KIND_MASK_WINDOW,
     MASK_PRESETS,
-    POLICY_KINDS,
     SchedulePolicy,
     StepPolicy,
     mask_preset,
@@ -61,7 +62,7 @@ from .textseg import Segmenter, count_units, read_sidecar_counts, segment, take_
 
 # Per reform: schedule kinds it takes, reform-specific fields it reads, corpus and batch needs.
 Reform = namedtuple("Reform", "kinds reads parallel_scaffold min_langs", defaults=((), False, 0))
-_SCAFFOLD_KINDS = tuple(kind for kind in POLICY_KINDS if kind != KIND_MASK_WINDOW)
+_SCAFFOLD_KINDS = tuple(kind for kind in KIND_FIELDS if kind != KIND_MASK_WINDOW)
 REFORMS = {
     "none": Reform(()),
     "pose": Reform(_SCAFFOLD_KINDS),
@@ -71,7 +72,6 @@ REFORMS = {
     **{name: Reform((KIND_MASK_WINDOW,)) for name in MASK_PRESETS},
 }
 _REFORM_FIELDS = {name for row in REFORMS.values() for name in row.reads}
-REFORM_KINDS = tuple(REFORMS)
 
 _SPLITS = ("train", "valid", "test")
 _SHARD_NAME = re.compile(r"(train|valid|test)-[0-9]{5,}\.jsonl")
@@ -218,10 +218,12 @@ def sample_pairs(
 def _truncate_parts(
     parts: tuple[str, ...], max_len: int, seg: Segmenter, fmt: ScaffoldFormat
 ) -> tuple[str, bool, int]:
-    """Trim nonempty scaffold parts from the right, then the base, until the
-    joined input fits in max_len units. The base always keeps at least one
-    unit; the target side is never touched by construction. Returns the
-    joined input, whether it was trimmed, and its unit count."""
+    """Trim the last part until the joined input fits in max_len units: a
+    scaffold part is dropped once it is empty, and a lone base is cut to
+    max_len >= 1 units. The last part can always give up a unit, because a
+    scaffold part is nonempty and a lone base over max_len has two or more.
+    The target side is never touched by construction. Returns the joined
+    input, whether it was trimmed, and its unit count."""
     truncated = False
     while True:
         joined = fmt.delimiter.join(parts)
@@ -230,16 +232,9 @@ def _truncate_parts(
         if over <= 0:
             return joined, truncated, n_units
         truncated = True
-        for idx in range(len(parts) - 1, -1, -1):
-            part_seg = segment(parts[idx], seg)
-            floor_keep = 1 if idx == 0 else 0
-            if len(part_seg) > floor_keep:
-                keep = max(floor_keep, len(part_seg) - over)
-                new_part = take_prefix(part_seg, keep)
-                parts = parts[:idx] + ((new_part,) if new_part else ()) + parts[idx + 1 :]
-                break
-        else:  # base is down to one unit; nothing left to trim
-            return joined, truncated, n_units
+        last = segment(parts[-1], seg)
+        kept = take_prefix(last, max(len(last) - over, 0))
+        parts = parts[:-1] + ((kept,) if kept else ())
 
 
 def _draw_aux(rng, codes: Sequence[str], src: str, tgt: str) -> list[str]:
@@ -282,7 +277,7 @@ def _build_example(
     """One example and the unit count of its input. ``step_policy`` is the
     schedule at the example's step, ``None`` outside train or without a
     schedule. A mips example draws its two extra languages from
-    ``mips_codes``, the corpus codes sorted once per build."""
+    ``mips_codes``, the corpus codes sorted once per shard job."""
     rng = _LazySubstream(cfg.seed, f"example:{split}", index)
     item_id, src_code, tgt_code = assignment
     example = example_from_record(corpus, item_id, src_code, tgt_code)
@@ -296,7 +291,7 @@ def _build_example(
         else:
             reform_on = fraction >= 1.0
 
-    if not reform_on or cfg.reform in MASK_PRESETS:  # a mask reform masks below
+    if not reform_on or step_policy.mask is not None:  # a mask reform masks below
         out = baseline(example, cfg.fmt)
     elif cfg.reform in ("pose", "prefix_suffix"):
         prefix = rng().random() if step_policy.prefix is None else step_policy.prefix
@@ -377,8 +372,6 @@ class _Tally:
 def _shard_job(
     corpus,
     cfg: BuildConfig,
-    schedule: SchedulePolicy | None,
-    mips_codes: Sequence[str],
     split: str,
     start: int,
     assignments: Sequence[tuple[int, str, str]],
@@ -387,10 +380,11 @@ def _shard_job(
     tally = _Tally()
     lines = []
     step_policy = None
-    scheduled = split == "train" and schedule is not None
+    schedule = cfg.effective_schedule() if split == "train" else None
+    mips_codes = tuple(sorted(corpus.codes))
     for offset, assignment in enumerate(assignments):
         index = start + offset
-        if scheduled and (offset == 0 or index % cfg.batch_size == 0):
+        if schedule is not None and (offset == 0 or index % cfg.batch_size == 0):
             # the examples of a step share its policy: evaluate it once
             step_policy = policy_at(index // cfg.batch_size, schedule)
         obj, input_units = _build_example(
@@ -425,24 +419,17 @@ def _worker_shard_job(job: tuple) -> tuple[dict, _Tally]:
 
 
 def _counter_stats(counter: Counter) -> dict:
-    n = sum(counter.values())
+    n = counter.total()
     if n == 0:
         return {"mean": None, "median": None}
     total = sum(length * count for length, count in counter.items())
-    half = n // 2
-    seen = 0
-    lower = upper = None
-    for length in sorted(counter):
-        seen += counter[length]
-        if lower is None and seen >= half + (n % 2):
-            lower = length
-        if upper is None and seen >= half + 1:
-            upper = length
-    if n % 2 == 1:
-        median = float(lower)
-    else:
-        median = (lower + upper) / 2
-    return {"mean": total / n, "median": median}
+    # the sorted expanded list's item k is the first length whose
+    # cumulative count exceeds k; for odd n the two middle items are one
+    lengths = sorted(counter)
+    cumulative = list(accumulate(counter[length] for length in lengths))
+    lower = lengths[bisect_right(cumulative, (n - 1) // 2)]
+    upper = lengths[bisect_right(cumulative, n // 2)]
+    return {"mean": total / n, "median": (lower + upper) / 2}
 
 
 def _validate_against_corpus(corpus, cfg: BuildConfig) -> None:
@@ -471,13 +458,9 @@ def build(
     if workers < 1:
         raise ValidationError("workers must be >= 1")
     _validate_against_corpus(corpus, cfg)
-    schedule = cfg.effective_schedule()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     n_items = len(corpus)
     pools = partition(n_items, [math.floor(frac * n_items) for frac in cfg.split_fracs], cfg.seed)
-    mips_codes = tuple(sorted(corpus.codes))
 
     jobs = []
     for split, n_wanted, pool in zip(_SPLITS, (cfg.n_train, cfg.n_valid, cfg.n_test), pools):
@@ -493,7 +476,15 @@ def build(
             path = out_dir / f"{split}-{shard_index:05d}.jsonl"
             jobs.append((split, start, chunk, path))
 
-    build_args = (corpus, cfg, schedule, mips_codes)
+    # Checks and draws are done. The last build's manifest goes first, so a
+    # failed build leaves none, then its shards, which a glob would pick up.
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    for path in out_dir.iterdir():
+        if _SHARD_NAME.fullmatch(path.name):
+            path.unlink()
+
+    build_args = (corpus, cfg)
     if workers == 1 or len(jobs) <= 1:
         results = [_shard_job(*build_args, *job) for job in jobs]
         digest = corpus_digest(corpus)
@@ -525,12 +516,6 @@ def build(
     )
     payload = json.dumps(manifest.as_dict(), sort_keys=True, indent=2) + "\n"
     write_atomic(out_dir / "manifest.json", (payload.encode("utf-8"),))
-    # a rebuild into a reused directory must not leave shards of an older
-    # build for a glob over the directory to pick up
-    listed = {shard["path"] for split in splits.values() for shard in split["shards"]}
-    for path in out_dir.iterdir():
-        if _SHARD_NAME.fullmatch(path.name) and path.name not in listed:
-            path.unlink()
     return manifest
 
 

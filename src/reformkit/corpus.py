@@ -24,7 +24,7 @@ import unicodedata
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import accumulate, zip_longest
 from operator import sub
@@ -177,14 +177,6 @@ class BilingualCorpus(MultiParallelCorpus):
         except (TypeError, ValueError):
             raise ValidationError("pairs must be (source, target) texts") from None
         super().__init__((source_lang, target_lang), (source, target))
-
-    @property
-    def source_lang(self) -> Language:
-        return self.languages[0]
-
-    @property
-    def target_lang(self) -> Language:
-        return self.languages[1]
 
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -476,10 +468,7 @@ def load_multiparallel(path: str | Path) -> MultiParallelCorpus:
 
 def write_multiparallel(corpus: MultiParallelCorpus, directory: str | Path) -> None:
     directory = Path(directory)
-    manifest = [
-        {"code": lang.code, "in_pretrain": lang.in_pretrain, "pretrain_size": lang.pretrain_size}
-        for lang in corpus.languages
-    ]
+    manifest = [asdict(lang) for lang in corpus.languages]
     text = json.dumps(manifest, ensure_ascii=False, indent=2) + "\n"
     write_atomic(directory / "manifest.json", (text.encode("utf-8"),))
     for code in corpus.codes:

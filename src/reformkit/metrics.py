@@ -67,13 +67,6 @@ class DirectionScore:
             raise ValidationError("n_sentences must be >= 1")
 
 
-def _check_parallel(hyps: Sequence[str], refs: Sequence[str]) -> None:
-    if len(hyps) != len(refs):
-        raise ValidationError(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    if not hyps:
-        raise ValidationError("cannot score an empty corpus")
-
-
 def _ngrams(seq: str | list[str], n: int, prev: list) -> list:
     """The order-n grams of a string or token list, n >= 2.
 
@@ -127,6 +120,27 @@ def _add_order_stats(stats: list[list[int]], hyp: str | list[str], ref: str | li
             cell[0] += _clipped_matches(hyp_grams, ref_grams, n)
 
 
+def _order_stats(
+    hyps: Sequence[str], refs: Sequence[str], char_n: int, word_n: int
+) -> list[list[int]]:
+    """[clipped matches, hyp total, ref total] per order, summed over the
+    sentence pairs: character orders 1..char_n over each text with its
+    whitespace removed, then word orders 1..word_n over its whitespace tokens."""
+    if len(hyps) != len(refs):
+        raise ValidationError(f"{len(hyps)} hypotheses vs {len(refs)} references")
+    if not hyps:
+        raise ValidationError("cannot score an empty corpus")
+    char_stats = [[0, 0, 0] for _ in range(char_n)]
+    word_stats = [[0, 0, 0] for _ in range(word_n)]
+    for hyp, ref in zip(hyps, refs):
+        hwords = hyp.split()
+        rwords = ref.split()
+        if char_stats:
+            _add_order_stats(char_stats, "".join(hwords), "".join(rwords))
+        _add_order_stats(word_stats, hwords, rwords)
+    return char_stats + word_stats
+
+
 def bleu(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = None) -> float:
     """Corpus BLEU: clipped modified n-gram precisions under a brevity penalty.
 
@@ -135,20 +149,11 @@ def bleu(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = Non
     over the orders they can actually support instead of collapsing to 0.
     """
     cfg = cfg or ScoreConfig(metric="bleu")
-    _check_parallel(hyps, refs)
-    stats = [[0, 0, 0] for _ in range(cfg.max_ngram)]  # matched, hyp total, ref total
-    hyp_len = 0
-    ref_len = 0
-    max_ref_len = 0
-    for hyp, ref in zip(hyps, refs):
-        htok = hyp.split()
-        rtok = ref.split()
-        hyp_len += len(htok)
-        ref_len += len(rtok)
-        max_ref_len = max(max_ref_len, len(rtok))
-        _add_order_stats(stats, htok, rtok)
-    # Orders above the longest reference have no reference grams.
-    effective_n = max(1, min(cfg.max_ngram, max_ref_len))
+    stats = _order_stats(hyps, refs, 0, cfg.max_ngram)
+    # A unigram is a token, so its totals are the corpus lengths. Orders
+    # above the longest reference have no reference grams.
+    _, hyp_len, ref_len = stats[0]
+    effective_n = max(1, sum(1 for _, _, ref_total in stats if ref_total))
     del stats[effective_n:]
 
     if hyp_len == 0:
@@ -176,19 +181,9 @@ def chrfpp(hyps: Sequence[str], refs: Sequence[str], cfg: ScoreConfig | None = N
     reference actually produced n-grams of that order somewhere.
     """
     cfg = cfg or ScoreConfig(metric="chrfpp")
-    _check_parallel(hyps, refs)
-    char_stats = [[0, 0, 0] for _ in range(cfg.char_n)]  # matched, hyp total, ref total
-    word_stats = [[0, 0, 0] for _ in range(cfg.word_n)]
-
-    for hyp, ref in zip(hyps, refs):
-        hwords = hyp.split()
-        rwords = ref.split()
-        _add_order_stats(char_stats, "".join(hwords), "".join(rwords))
-        _add_order_stats(word_stats, hwords, rwords)
-
     precisions = []
     recalls = []
-    for matched, hyp_total, ref_total in char_stats + word_stats:
+    for matched, hyp_total, ref_total in _order_stats(hyps, refs, cfg.char_n, cfg.word_n):
         if hyp_total + ref_total == 0:
             continue
         precisions.append(matched / hyp_total if hyp_total else 0.0)

@@ -30,7 +30,6 @@ KIND_FIELDS = {
     KIND_CURRICULUM3: (),
     KIND_MASK_WINDOW: ("start_frac", "end_frac", "mask_p", "span", "mean_span"),
 }
-POLICY_KINDS = tuple(KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class SchedulePolicy:
 
     def __post_init__(self) -> None:
         cast_fields(self)
-        if self.kind not in POLICY_KINDS:
+        if self.kind not in KIND_FIELDS:
             raise ValidationError(f"unknown schedule kind: {self.kind!r}")
         for f in fields(self)[2:]:
             if f.name not in KIND_FIELDS[self.kind] and getattr(self, f.name) != f.default:

@@ -187,6 +187,11 @@ def test_spearman_matches_scipy_on_random_data():
             assert len(set(xs)) == 1 or len(set(ys)) == 1
         else:
             assert rho == pytest.approx(expected, abs=1e-9)
+    # fewer than two points have no rank correlation: degenerate, rho 0
+    assert spearman([], []) == spearman([5.0], [7.0]) == (0.0, True)
+    with pytest.raises(ValidationError) as err:
+        spearman([1.0, 2.0], [1.0])
+    assert str(err.value) == "correlation inputs differ in length"
 
 
 def test_spearman_rank_oracle_with_languages():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import multiprocessing
 import random
+import statistics
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ import reformkit.builder
 import reformkit.corpus
 import reformkit.textseg
 from reformkit.builder import (
-    REFORM_KINDS,
+    REFORMS,
     BuildConfig,
     batch_plan,
     build,
@@ -40,8 +42,8 @@ from reformkit.corpus import (
 from reformkit.errors import ValidationError
 from reformkit.reformulate import ScaffoldFormat
 from reformkit.schedule import (
+    KIND_FIELDS,
     MASK_PRESETS,
-    POLICY_KINDS,
     SchedulePolicy,
     curriculum1,
     mask_window,
@@ -96,6 +98,11 @@ def test_sample_pairs_single_language_rejected():
     corpus = MultiParallelCorpus(langs, (["x"],))
     with pytest.raises(ValidationError):
         sample_pairs(corpus, 1, seed=0)
+    two = synth_multiparallel(2, 3)
+    for n, pool, message in ((0, None, "n must be >= 1"), (1, [], "empty record pool")):
+        with pytest.raises(ValidationError) as err:
+            sample_pairs(two, n, seed=0, record_ids=pool)
+        assert str(err.value) == message
 
 
 def test_sample_pairs_bilingual_draws_are_pinned():
@@ -445,6 +452,66 @@ def test_truncation_drops_scaffold_before_source(tmp_path):
     assert truncated == manifest.splits["train"]["truncated"] > 0
 
 
+def _truncate_parts_by_search(parts, max_len, seg, fmt):
+    """The truncation loop that searched right to left for a part that could
+    give up a unit, the base keeping one; the oracle for ``_truncate_parts``."""
+    truncated = False
+    while True:
+        joined = fmt.delimiter.join(parts)
+        n_units = reformkit.textseg.count_units(joined, seg)
+        over = n_units - max_len
+        if over <= 0:
+            return joined, truncated, n_units
+        truncated = True
+        for idx in range(len(parts) - 1, -1, -1):
+            part_seg = reformkit.textseg.segment(parts[idx], seg)
+            floor_keep = 1 if idx == 0 else 0
+            if len(part_seg) > floor_keep:
+                keep = max(floor_keep, len(part_seg) - over)
+                new_part = reformkit.textseg.take_prefix(part_seg, keep)
+                parts = parts[:idx] + ((new_part,) if new_part else ()) + parts[idx + 1 :]
+                break
+        else:
+            return joined, truncated, n_units
+
+
+_TRUNCATION_TEXT = st.text(alphabet="ab |\n་༌", min_size=1, max_size=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(SEGMENTER_KINDS),
+    delimiter=st.sampled_from(["\n", " ", "|", " | ", "ab", "་"]),
+    template=st.sampled_from(["", "<2{code}> ", "<2{code}>", "translate into {code}: "]),
+    source=_TRUNCATION_TEXT,
+    extra=st.lists(_TRUNCATION_TEXT, max_size=3),
+    max_len=st.integers(1, 12),
+)
+def test_truncation_trims_the_last_part_as_the_search_did(
+    kind, delimiter, template, source, extra, max_len
+):
+    fmt = ScaffoldFormat(delimiter=delimiter, target_lang_tag_template=template)
+    # the kernels' parts: tag plus source, then nonempty scaffold parts
+    parts = (fmt.tag_for(Language("eng_Latn")) + source, *extra)
+    seg = Segmenter(kind)
+    got = reformkit.builder._truncate_parts(parts, max_len, seg, fmt)
+    assert got == _truncate_parts_by_search(parts, max_len, seg, fmt)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+@settings(max_examples=200, deadline=None)
+@given(histogram=st.dictionaries(st.integers(0, 60), st.integers(1, 6), min_size=1, max_size=12))
+def test_counter_stats_equal_the_expanded_list(parity, histogram):
+    counter = Counter(histogram)
+    if counter.total() % 2 != parity:
+        counter[min(counter)] += 1
+    expanded = sorted(counter.elements())
+    assert len(expanded) % 2 == parity
+    got = reformkit.builder._counter_stats(counter)
+    assert got == {"mean": statistics.mean(expanded), "median": statistics.median(expanded)}
+    assert isinstance(got["median"], float)
+
+
 def test_pose_adds_half_target_length_on_average(tmp_path):
     corpus = synth_multiparallel(4, 200, seed=11)
     common = dict(
@@ -544,7 +611,7 @@ def test_stats_equals_manifest_stats(tmp_path):
     for kind, max_len, bilingual in (
         ("unicode_words", 6, tibetan), ("whitespace", 6, spaced), ("codepoints", 40, tibetan)
     ):
-        for reform in REFORM_KINDS:
+        for reform in REFORMS:
             task = "multiparallel" if reform in ("parse", "mips") else "bilingual"
             cfg = BuildConfig(
                 task=task, reform=reform, n_train=400, batch_size=100, seed=5,
@@ -573,6 +640,61 @@ def test_rebuild_leaves_only_the_new_shards(tmp_path):
         "manifest.json", "notes.txt", "train-00000.jsonl"
     ]
     assert manifest.splits["valid"]["shards"] == []
+
+
+def _tree_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_rebuild_leaves_no_manifest(tmp_path, monkeypatch, workers):
+    if workers > 1:
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+
+        # forked workers inherit the failing write_atomic patched below
+        class ForkExecutor(reformkit.builder.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                super().__init__(max_workers, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+        monkeypatch.setattr(reformkit.builder, "ProcessPoolExecutor", ForkExecutor)
+    corpus = synth_bilingual(300, seed=2)
+    old = BuildConfig(
+        task="bilingual", reform="pose", n_train=400, batch_size=50, n_valid=20, shard_size=100,
+    )
+    new = replace(old, seed=1)
+    out = tmp_path / "out"
+    build(corpus, old, out, workers=workers)
+    build(corpus, new, tmp_path / "clean", workers=workers)
+
+    write_atomic = reformkit.builder.write_atomic
+
+    def disk_full_at_the_third_shard(path, chunks):
+        if Path(path).name == "train-00002.jsonl":
+            raise OSError(28, "No space left on device")
+        write_atomic(path, chunks)
+
+    monkeypatch.setattr(reformkit.builder, "write_atomic", disk_full_at_the_third_shard)
+    with pytest.raises(OSError):
+        build(corpus, new, out, workers=workers)
+    assert not (out / "manifest.json").exists()
+    # no shard of the old build is left beside the new build's
+    clean = _tree_bytes(tmp_path / "clean")
+    assert all(clean[name] == data for name, data in _tree_bytes(out).items())
+    monkeypatch.setattr(reformkit.builder, "write_atomic", write_atomic)
+    build(corpus, new, out, workers=workers)
+    assert _tree_bytes(out) == _tree_bytes(tmp_path / "clean")
+
+
+def test_an_empty_pool_creates_no_output_directory(tmp_path):
+    cfg = BuildConfig(
+        task="bilingual", reform="none", n_train=10, batch_size=5, n_valid=10,
+        split_fracs=(1.0, 0.0, 0.0),
+    )
+    with pytest.raises(ValidationError) as err:
+        build(synth_bilingual(50), cfg, tmp_path / "out")
+    assert str(err.value) == "valid pool is empty; adjust split_fracs or corpus size"
+    assert not (tmp_path / "out").exists()
 
 
 def test_stats_empty_and_sidecar(tmp_path):
@@ -612,6 +734,16 @@ def test_config_validation():
         BuildConfig(
             task="bilingual", reform="none", n_train=10, batch_size=2, split_fracs=(0.9, 0.9, 0.1)
         )
+    minimal = {"task": "bilingual", "reform": "none", "n_train": 10, "batch_size": 2}
+    for fields_, message in (
+        ({"n_valid": -1}, "split sizes must be nonnegative"),
+        ({"shard_size": 0}, "shard_size must be >= 1"),
+        ({"reform": "prefix_suffix", "front_share": 1.5}, "front_share must be in [0, 1]"),
+        ({"reform": "prefix_suffix", "front_share": -0.1}, "front_share must be in [0, 1]"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            BuildConfig(**{**minimal, **fields_})
+        assert str(err.value) == message
 
 
 def test_config_takes_only_finite_numbers():
@@ -664,6 +796,15 @@ def test_config_corpus_mismatch(tmp_path):
     cfg = BuildConfig(task="bilingual", reform="none", n_train=10, batch_size=5)
     with pytest.raises(ValidationError):
         build(multi, cfg, tmp_path)
+    bilingual = synth_bilingual(20)
+    for reform, workers, message in (
+        ("parse", 1, "parse needs a multi-parallel corpus"),
+        ("none", 0, "workers must be >= 1"),
+    ):
+        cfg = BuildConfig(task="bilingual", reform=reform, n_train=10, batch_size=5)
+        with pytest.raises(ValidationError) as err:
+            build(bilingual, cfg, tmp_path, workers=workers)
+        assert str(err.value) == message
 
 
 def test_from_dict_of_a_non_object_is_a_validation_error():
@@ -762,12 +903,12 @@ def _schedules(draw, kind):
 @st.composite
 def _configs(draw):
     batch_size = draw(st.integers(1, 1000))
-    reform = draw(st.sampled_from(REFORM_KINDS))
+    reform = draw(st.sampled_from(tuple(REFORMS)))
     # a mask reform takes only a mask window, none no schedule, and every other
     # reform any other kind
     masks = reform in MASK_PRESETS
     kinds = () if reform == "none" else tuple(
-        kind for kind in POLICY_KINDS if (kind == "mask_window") == masks
+        kind for kind in KIND_FIELDS if (kind == "mask_window") == masks
     )
     # pivot and front_share only for the reform that reads each
     read = {}
@@ -989,7 +1130,7 @@ def test_shard_digests_are_pinned(tmp_path):
     bilingual = synth_bilingual(60, seed=3)
     multi = synth_multiparallel(6, 40, seed=3)
     got = {}
-    for reform in REFORM_KINDS:
+    for reform in REFORMS:
         for max_len in (256, 8):  # generous, and forcing truncation
             task = "multiparallel" if reform in ("parse", "mips") else "bilingual"
             cfg = BuildConfig(

@@ -111,6 +111,11 @@ def test_unknown_format(tmp_path):
     path.write_text("a,b\n", encoding="utf-8")
     with pytest.raises(UsageError):
         load_bilingual(path, "csv")
+    corpus = BilingualCorpus(Language("a"), Language("b"), [("x", "y")])
+    with pytest.raises(UsageError) as err:
+        write_bilingual(corpus, tmp_path / "out.csv", "csv")
+    assert str(err.value) == "unknown bilingual format: 'csv'"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_nfc_normalization_applied(tmp_path):
@@ -128,7 +133,7 @@ def test_bilingual_round_trip(tmp_path):
     for fmt in ("tsv", "jsonl"):
         out = tmp_path / f"rt.{fmt}"
         write_bilingual(corpus, out, fmt)
-        again = load_bilingual(out, fmt, corpus.source_lang, corpus.target_lang)
+        again = load_bilingual(out, fmt, *corpus.languages)
         # stored as one column per language, like any multi-parallel corpus
         assert again.codes == ("swe_Latn", "eng_Latn")
         assert set(again.columns) == {"swe_Latn", "eng_Latn"}
@@ -236,6 +241,33 @@ def test_multiparallel_truncated_manifest_is_a_validation_error(tmp_path):
         load_multiparallel(tmp_path)
 
 
+def test_multiparallel_manifest_and_language_files_must_exist(tmp_path):
+    with pytest.raises(ValidationError) as err:
+        load_multiparallel(tmp_path)
+    assert str(err.value) == f"no manifest found at {tmp_path / 'manifest.json'}"
+    manifest = _toy_multi(tmp_path) / "manifest.json"
+    langs = json.loads(manifest.read_text(encoding="utf-8"))
+    (tmp_path / f"{langs[1]['code']}.txt").unlink()
+    with pytest.raises(ValidationError) as err:
+        load_multiparallel(tmp_path)
+    assert str(err.value) == f"missing language file: {tmp_path / langs[1]['code']}.txt"
+    manifest.write_text("[]\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        load_manifest(manifest)
+    assert str(err.value) == f"{manifest}: manifest must be a nonempty JSON array"
+
+
+def test_synthetic_sizes_must_be_positive():
+    for call, message in (
+        (lambda: synth_multiparallel(0, 5), "need at least 1 language"),
+        (lambda: synth_multiparallel(3, 0), "need at least 1 record"),
+        (lambda: synth_bilingual(0), "need at least 1 pair"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_multiparallel_length_mismatch(tmp_path):
     _toy_multi(tmp_path)
     short = tmp_path / "ccc_Latn.txt"
@@ -313,8 +345,13 @@ def test_split_deterministic_and_seed_sensitive(tmp_path):
 
 def test_split_oversized_errors(tmp_path):
     corpus = load_multiparallel(_toy_multi(tmp_path, n=100))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         split(corpus, (90, 10, 10), seed=1)
+    assert str(err.value) == "split sizes (90, 10, 10) exceed corpus size 100"
+    for sizes in ((90, 10), (90, -1, 5)):
+        with pytest.raises(ValidationError) as err:
+            split(corpus, sizes, seed=1)
+        assert str(err.value) == "split sizes must be three nonnegative counts"
 
 
 def test_split_bilingual(tmp_path):
@@ -418,7 +455,7 @@ def test_digest_sees_a_character_moved_across_a_text_boundary():
         (("ab", "cde"), ("f", "gh")),  # target of one pair to the source of the next
         (("abe", "cd"), ("f", "gh")),  # source of one pair to the next source
     ):
-        assert corpus_digest(BilingualCorpus(bi.source_lang, bi.target_lang, other)) != corpus_digest(bi)
+        assert corpus_digest(BilingualCorpus(*bi.languages, other)) != corpus_digest(bi)
 
 
 def test_digest_sees_two_languages_swapping_texts():
@@ -432,7 +469,7 @@ def test_digest_sees_two_languages_swapping_texts():
     )
     assert corpus_digest(one) != corpus_digest(corpus)
     bi = BilingualCorpus(Language("src"), Language("tgt"), (("ab", "cd"), ("ef", "gh")))
-    flipped = BilingualCorpus(bi.source_lang, bi.target_lang, (("cd", "ab"), ("gh", "ef")))
+    flipped = BilingualCorpus(*bi.languages, (("cd", "ab"), ("gh", "ef")))
     assert corpus_digest(flipped) != corpus_digest(bi)
 
 
@@ -451,7 +488,7 @@ def test_digest_sees_any_one_text_changing():
         for side in range(2):
             pairs = [list(p) for p in bi.pairs]
             pairs[i][side] += "x"
-            digests.add(corpus_digest(BilingualCorpus(bi.source_lang, bi.target_lang, map(tuple, pairs))))
+            digests.add(corpus_digest(BilingualCorpus(*bi.languages, map(tuple, pairs))))
     assert len(digests) == 5
 
 

@@ -363,6 +363,13 @@ def test_score_config_validation():
         ScoreConfig(smoothing="add_k", smoothing_k=0.0)
     with pytest.raises(ValidationError):
         ScoreConfig(beta=0.0)
+    for knobs, message in (
+        ({"char_n": 0}, "char_n must be >= 1"),
+        ({"word_n": -1}, "word_n must be >= 0"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            ScoreConfig(**knobs)
+        assert str(err.value) == message
 
 
 def test_score_config_casts_its_fields():

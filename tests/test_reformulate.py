@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from reformkit.corpus import Language, TranslationExample
 from reformkit.errors import ValidationError
 from reformkit.reformulate import (
+    ReformulatedExample,
     ScaffoldFormat,
     baseline,
     mask_tokens,
@@ -111,6 +112,19 @@ def test_pose_rejects_bad_fraction():
         pose(_ex(), 1.2)
     with pytest.raises(ValidationError):
         pose(_ex(), -0.1)
+    with pytest.raises(ValidationError) as err:
+        prefix_suffix(_ex(), 0.5, 2)
+    assert str(err.value) == "front share 2 outside [0, 1]"
+
+
+def test_reformulated_example_invariants():
+    for tag, text, message in (
+        ("rotate", "x", "unknown tag: 'rotate'"),
+        ("baseline", "", "reformulated texts must be nonempty"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            ReformulatedExample(text, "y", tag)
+        assert str(err.value) == message
 
 
 @given(

@@ -196,6 +196,9 @@ def test_schedule_validation():
         mask_window(0.8, 0.2, 0.1, 10)
     with pytest.raises(ValidationError):
         mask_window(0.0, 1.0, 0.0, 10)
+    with pytest.raises(ValidationError) as err:
+        mask_window(0.0, 1.0, 0.1, 10, mean_span=0)
+    assert str(err.value) == "mean_span must be >= 1"
     with pytest.raises(ValidationError, match="unreachable"):
         mask_window(0.0, 1.0, 0.9, 10, span=True, mean_span=1)
     mask_window(0.0, 1.0, 0.9, 10, span=False, mean_span=1)

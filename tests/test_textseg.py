@@ -254,6 +254,10 @@ def test_sidecar_counts_rejects_garbage(tmp_path):
     path.write_text("3\n-1\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 2"):
         read_sidecar_counts(path)
+    path.write_text("3\n\n4\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as err:
+        read_sidecar_counts(path)
+    assert str(err.value) == f"{path}: line 2: empty count"
 
 
 # word characters and one of each separator class: ASCII space, tab and
